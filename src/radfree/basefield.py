@@ -4,9 +4,12 @@ quadratic field Q(sqrt(d)) with d < 0 squarefree.
 Elements are coordinate pairs x + y*w over the integral basis {1, w}, where
 w = sqrt(d) or (1 + sqrt(d))/2 according to d mod 4.  Ideals are stored as the
 Hermite normal form of their Z-basis with a positive integer denominator, so
-ideal equality is tuple equality.  The class group is realized by reduced
-primitive binary quadratic forms of the field discriminant, which keeps
-principality testing a finite norm-equation search.
+ideal equality is tuple equality.  The ideal layer works on those integer
+coordinates: a product multiplies the two Z-bases with w^2 = s*w + r and runs
+one HNF, and v_P is read off the HNF rows in closed form (q-content, then one
+residue test at P, then v_q of the norm when P is split).  The class group is
+realized by reduced primitive binary quadratic forms of the field
+discriminant, which keeps principality testing a finite norm-equation search.
 """
 
 from __future__ import annotations
@@ -236,7 +239,8 @@ class KIdeal:
 
     @staticmethod
     def unit_ideal(field: BaseField) -> "KIdeal":
-        return KIdeal.principal(field.one())
+        rows = ((1,),) if field.is_rational else ((1, 0), (0, 1))
+        return KIdeal(field, rows, 1)
 
     @staticmethod
     def _canonical(field, rows, den) -> "KIdeal":
@@ -262,22 +266,36 @@ class KIdeal:
         return out
 
     def __mul__(self, other: "KIdeal") -> "KIdeal":
+        """The Z-span of the pairwise products of the two Z-bases is already
+        an O_K-module, so one HNF of those integer rows gives the product."""
         if self.field != other.field:
             raise DomainError("ideals of different fields")
-        gens = [a * b for a in self.basis_elems() for b in other.basis_elems()]
-        return KIdeal.from_generators(self.field, gens)
+        if not self.rows or not other.rows:
+            raise DomainError("zero ideal")
+        if self.dim == 1:
+            rows = [[a * c] for (a,) in self.rows for (c,) in other.rows]
+        else:
+            s, r = self.field._omega_rel
+            rows = []
+            for a, b in self.rows:
+                for c, d in other.rows:
+                    bd = b * d
+                    rows.append([a * c + r * bd, a * d + b * c + s * bd])
+        return KIdeal._canonical(self.field, hnf(rows, self.dim),
+                                 self.den * other.den)
 
     def __pow__(self, n: int) -> "KIdeal":
         if n < 0:
             return self.inverse() ** (-n)
-        out = KIdeal.unit_ideal(self.field)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return KIdeal.unit_ideal(self.field) if out is None else out
 
     def __add__(self, other: "KIdeal") -> "KIdeal":
         if self.field != other.field:
@@ -354,10 +372,7 @@ class PrimeIdeal:
         return self.field.elem(-self.t0, 1)
 
     def ideal(self) -> KIdeal:
-        gens = [self.field.elem(self.q)]
-        if self.t0 is not None:
-            gens.append(self.pi_elem())
-        return KIdeal.from_generators(self.field, gens)
+        return _prime_ideal(self)
 
     def norm(self) -> int:
         return self.q ** self.f
@@ -372,6 +387,21 @@ class PrimeIdeal:
         if self.t0 is None:
             return f"({self.q})"
         return f"({self.q}, w-{self.t0})" if self.t0 else f"({self.q}, w)"
+
+
+@lru_cache(maxsize=None)
+def _prime_ideal(P: PrimeIdeal) -> KIdeal:
+    """HNF of (q) or of (q, w - t0) = {x + y*w : x + y*t0 = 0 mod q}."""
+    q, t0 = P.q, P.t0
+    if P.field.is_rational:
+        rows = ((q,),)
+    elif t0 is None:
+        rows = ((q, 0), (0, q))
+    elif t0 == 0:
+        rows = ((q, 0), (0, 1))
+    else:
+        rows = ((1, -pow(t0, -1, q) % q), (0, q))
+    return KIdeal(P.field, rows, 1)
 
 
 def _sqrt_mod(a: int, q: int) -> int | None:
@@ -446,31 +476,61 @@ def _split_prime(field: BaseField, q: int) -> tuple[PrimeIdeal, ...]:
     return tuple(PrimeIdeal(field, q, t, 1, False) for t in roots)
 
 
-def ideal_valuation(P: PrimeIdeal, I: KIdeal) -> int:
-    """v_P(I), additive over products; DomainError on the zero ideal."""
-    if I.field != P.field:
-        raise DomainError("ideal from a different field")
-    num = KIdeal(I.field, I.rows, 1)
+def _vq(n: int, q: int) -> int:
+    """v_q(n) for a nonzero integer n."""
     v = 0
-    Pid = P.ideal()
-    power = Pid
-    while power.contains_ideal(num):
+    while n % q == 0:
+        n //= q
         v += 1
-        power = power * Pid
-    if I.den % P.q == 0:
-        dv = 0
-        den = I.den
-        while den % P.q == 0:
-            den //= P.q
-            dv += 1
-        v -= P.ram_index() * dv
     return v
 
 
+def _int_valuation(P: PrimeIdeal, x: int, y: int = 0) -> int:
+    """v_P(x + y*w) for integers x, y, not both zero (Cohen, GTM 138, ch. 4).
+
+    After the q-content q^e is stripped, x + y*w lies in at most one prime
+    above q: if it lay in P and in its conjugate, or in P^2 = (q) when P is
+    ramified, q would divide it.  So v_P is e*e(P), plus 1 at a ramified P,
+    or v_q of the norm at a split P, when x + y*t0 = 0 mod q.
+    """
+    q = P.q
+    e = 0
+    while x % q == 0 and y % q == 0:
+        x //= q
+        y //= q
+        e += 1
+    v = e * P.ram_index()
+    if P.t0 is None or (x + y * P.t0) % q:
+        return v
+    if P.ramified:
+        return v + 1
+    s, r = P.field._omega_rel
+    return v + _vq(x * x + s * x * y - r * y * y, q)
+
+
+def ideal_valuation(P: PrimeIdeal, I: KIdeal) -> int:
+    """v_P(I), additive over products; DomainError on the zero ideal.
+
+    The HNF rows generate I as an O_K-module, so v_P(I) is their least
+    valuation, less e(P) * v_q(den).
+    """
+    if I.field != P.field:
+        raise DomainError("ideal from a different field")
+    if not I.rows:
+        raise DomainError("valuation of the zero ideal")
+    v = min(_int_valuation(P, *row) for row in I.rows)
+    return v - P.ram_index() * _vq(I.den, P.q)
+
+
 def element_valuation(P: PrimeIdeal, g: KElem) -> int:
+    if g.field != P.field:
+        raise DomainError("element from a different field")
     if g.is_zero():
         raise DomainError("valuation of zero")
-    return ideal_valuation(P, KIdeal.principal(g))
+    den = g.denominator()
+    x = g.x.numerator * (den // g.x.denominator)
+    y = g.y.numerator * (den // g.y.denominator)
+    return _int_valuation(P, x, y) - P.ram_index() * _vq(den, P.q)
 
 
 # ---------------------------------------------------------------------------

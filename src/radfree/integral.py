@@ -20,9 +20,18 @@ from .basefield import (
     element_valuation,
     is_principal,
 )
-from .errors import DomainError, PreconditionError, UnsupportedScopeError
+from .errors import (
+    DomainError,
+    PreconditionError,
+    ResourceLimitError,
+    UnsupportedScopeError,
+)
 from .extension import LElem, RadicandContext, hnf_glue
 from .lattices import IntegerLattice
+
+# The uniformizer search at a non-principal P tries the norms N(P) * m for
+# m = 1..UNIFORMIZER_MAX_MULTIPLIER.
+UNIFORMIZER_MAX_MULTIPLIER = 999
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ def uniformizer(ctx: RadicandContext, P: PrimeIdeal) -> KElem:
         assert all(element_valuation(Q, g) == 0 for Q in others)
         return g
     n0 = P.norm()
-    for mult in range(1, 1000):
+    for mult in range(1, UNIFORMIZER_MAX_MULTIPLIER + 1):
         for cand in _norm_solutions(ctx.field, n0 * mult):
             if not P.ideal().contains(cand):
                 continue
@@ -54,7 +63,9 @@ def uniformizer(ctx: RadicandContext, P: PrimeIdeal) -> KElem:
                 continue
             if all(element_valuation(Q, cand) == 0 for Q in others):
                 return cand
-    raise DomainError(f"no uniformizer found at {P}")    # pragma: no cover
+    raise ResourceLimitError(
+        f"local bases: no uniformizer at {P} among the elements of norm "
+        f"{n0}*m, m <= {UNIFORMIZER_MAX_MULTIPLIER}", UNIFORMIZER_MAX_MULTIPLIER)
 
 
 def local_basis(ctx: RadicandContext, P: PrimeIdeal) -> LocalIntegralBasis:

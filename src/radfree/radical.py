@@ -83,7 +83,6 @@ def associated_ideals(ctx: RadicandContext) -> AssociatedIdeals:
     fac = ctx.radicand_factorization
     one = KIdeal.unit_ideal(field)
 
-    # prime-exponent form
     b = [one for _ in range(p)]
     exps = []
     for P, v in fac:
@@ -92,14 +91,6 @@ def associated_ideals(ctx: RadicandContext) -> AssociatedIdeals:
         for j in range(1, p):
             if row[j]:
                 b[j] = b[j] * P.ideal() ** row[j]
-
-    # i-part form must agree
-    dec = i_part_decomposition(KIdeal.principal(ctx.a), ctx.max_norm)
-    for j in range(p):
-        alt = one
-        for i, part in dec.parts.items():
-            alt = alt * part ** (i * j // p)
-        assert alt == b[j], "the two defining formulas disagree"
 
     cg = class_group(field)
     classes = tuple(cg.class_of(bj) for bj in b)

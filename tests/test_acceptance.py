@@ -14,6 +14,7 @@ import sympy
 
 from radfree.basefield import (
     BaseField,
+    KIdeal,
     QuadForm,
     class_group,
     element_valuation,
@@ -40,7 +41,11 @@ from radfree.integral import (
     poly_discriminant,
     solve_coordinates,
 )
-from radfree.radical import associated_ideals, tameness_test
+from radfree.radical import (
+    associated_ideals,
+    i_part_decomposition,
+    tameness_test,
+)
 
 Q = BaseField.rationals()
 K5 = BaseField.imaginary_quadratic(-5)
@@ -158,8 +163,8 @@ def test_class_obstruction_sqrt_minus_5():
 
 def test_associated_ideal_property_suite():
     # 500 random (p, a): v_P(b_j) = floor(j v_P(a) / p) everywhere, and the
-    # two defining formulas agree (the i-part construction is recomputed and
-    # compared inside associated_ideals)
+    # two defining formulas agree: the i-part construction
+    # b_j = prod_i a_i^floor(ij/p) is recomputed here and compared
     t0 = time.perf_counter()
     rng = random.Random(2024)
     n = 0
@@ -176,6 +181,12 @@ def test_associated_ideal_property_suite():
         for P, v in ctx.radicand_factorization:
             for j in range(p):
                 assert ideal_valuation(P, assoc.b[j]) == j * v // p
+        dec = i_part_decomposition(KIdeal.principal(a), ctx.max_norm)
+        for j in range(p):
+            alt = KIdeal.unit_ideal(field)
+            for i, part in dec.parts.items():
+                alt = alt * part ** (i * j // p)
+            assert alt == assoc.b[j], "the two defining formulas disagree"
         # primes away from the radicand impose nothing
         spare = split_prime(field, 11)[0]
         if ctx.v_a(spare) == 0:

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radfree.basefield import (
     BaseField,
     KIdeal,
     QuadForm,
     class_group,
+    element_valuation,
     factor_ideal,
     ideal_valuation,
     is_principal,
@@ -273,3 +277,116 @@ def test_reduce_form():
     assert reduce_form(QuadForm(3, 10, 10)) == QuadForm(2, 2, 3)
     assert reduce_form(QuadForm(1, 0, 5)) == QuadForm(1, 0, 5)
     assert reduce_form(QuadForm(3, -2, 2)) == QuadForm(2, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles for the integer ideal layer: the HNF-chain valuation and
+# the generator-based product that the closed forms replaced.
+
+def generator_product(I, J):
+    """I*J as the O_K-module generated by the pairwise basis products."""
+    return KIdeal.from_generators(
+        I.field, [a * b for a in I.basis_elems() for b in J.basis_elems()])
+
+
+def chain_valuation(P, I):
+    """v_P(I): the largest k with P^k containing the numerator of I, by
+    building P, P^2, ... from generators, less e(P) * v_q(den)."""
+    num = KIdeal(I.field, I.rows, 1)
+    Pid = P.ideal()
+    v = 0
+    power = Pid
+    while power.contains_ideal(num):
+        v += 1
+        power = generator_product(power, Pid)
+    den = I.den
+    while den % P.q == 0:
+        den //= P.q
+        v -= P.ram_index()
+    return v
+
+
+# Q and fields where 2 and an odd q split, stay inert and ramify:
+# -1: 2 ram, 3 inert, 5 split; -2: 2 ram, 3 split, 5 inert; -3: 2 inert,
+# 3 ram, 7 split; -5: 2, 5 ram, 3, 7 split; -6: 2, 3 ram, 5, 7 split;
+# -7: 2 split, 3 inert, 7 ram; -15: 2 split, 3, 5 ram, 7 inert.
+PROPERTY_FIELDS = [Q] + [BaseField.imaginary_quadratic(d)
+                         for d in (-1, -2, -3, -5, -6, -7, -15)]
+PROPERTY_PRIMES = (2, 3, 5, 7)
+PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True)
+
+
+def _primes(field):
+    return [P for q in PROPERTY_PRIMES for P in split_prime(field, q)]
+
+
+@st.composite
+def elements(draw, field):
+    """Nonzero elements with denominators that the small primes divide."""
+    den = draw(st.sampled_from([1, 1, 2, 3, 4, 5, 6, 9, 12, 14, 49]))
+    x = draw(st.integers(-60, 60))
+    y = 0 if field.is_rational else draw(st.integers(-60, 60))
+    if not (x or y):
+        x = 1
+    return field.elem(Fraction(x, den), Fraction(y, den))
+
+
+@st.composite
+def ideals(draw, field):
+    gens = draw(st.lists(elements(field), min_size=1, max_size=2))
+    return KIdeal.from_generators(field, gens)
+
+
+@st.composite
+def field_and_ideals(draw, count):
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    return field, [draw(ideals(field)) for _ in range(count)]
+
+
+@PROPERTY_SETTINGS
+@given(field_and_ideals(1))
+def test_ideal_valuation_matches_hnf_chain(case):
+    field, (I,) = case
+    for P in _primes(field):
+        assert ideal_valuation(P, I) == chain_valuation(P, I), (P, I)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(PROPERTY_FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f), elements(f))))
+def test_element_valuation_matches_hnf_chain(case):
+    field, g = case
+    for P in _primes(field):
+        assert element_valuation(P, g) == chain_valuation(
+            P, KIdeal.principal(g)), (P, g)
+
+
+@PROPERTY_SETTINGS
+@given(field_and_ideals(2), st.integers(0, 3))
+def test_ideal_product_matches_generator_product(case, n):
+    field, (I, J) = case
+    assert I * J == generator_product(I, J)
+    power = KIdeal.unit_ideal(field)
+    for _ in range(n):
+        power = generator_product(power, I)
+    assert I ** n == power
+
+
+def test_prime_ideal_matches_generators():
+    for field in PROPERTY_FIELDS:
+        for q in sympy.primerange(2, 60):
+            for P in split_prime(field, q):
+                gens = [field.elem(q)]
+                if P.t0 is not None:
+                    gens.append(P.pi_elem())
+                assert P.ideal() == KIdeal.from_generators(field, gens), P
+
+
+def test_valuation_of_zero():
+    P = split_prime(K5, 2)[0]
+    with pytest.raises(DomainError):
+        ideal_valuation(P, KIdeal(K5, (), 1))
+    with pytest.raises(DomainError):
+        element_valuation(P, K5.zero())
+    with pytest.raises(DomainError):
+        element_valuation(P, K1.elem(1, 1))

@@ -4,7 +4,13 @@ import pytest
 
 from radfree.basefield import BaseField, element_valuation, split_prime
 from radfree.dedekind import dedekind_maximality_oracle
-from radfree.errors import PreconditionError, UnsupportedScopeError
+from radfree import integral
+from radfree.cli import main
+from radfree.errors import (
+    PreconditionError,
+    ResourceLimitError,
+    UnsupportedScopeError,
+)
 from radfree.extension import RadicandContext, hnf_glue, span_lattice
 from radfree.integral import (
     field_index_and_discriminant,
@@ -208,6 +214,22 @@ def test_uniformizer_nonprincipal():
     for P in ctx.support_primes():
         if P != p2:
             assert element_valuation(P, pi) == 0
+
+
+def test_uniformizer_search_bound(monkeypatch, capsys):
+    # x^2 + 5y^2 = 2 has no solution, so with one norm multiplier the search
+    # at the non-principal (2, w-1) of Q(sqrt(-5)) finds nothing
+    monkeypatch.setattr(integral, "UNIFORMIZER_MAX_MULTIPLIER", 1)
+    ctx = RadicandContext(K5, 3, K5.elem(10))
+    p2 = split_prime(K5, 2)[0]
+    assert str(p2) == "(2, w-1)"
+    with pytest.raises(ResourceLimitError) as exc:
+        uniformizer(ctx, p2)
+    assert exc.value.bound == 1
+    assert "local bases" in str(exc.value) and "(2, w-1)" in str(exc.value)
+    assert main(["analyze", "--base", "Qsqrt-5", "--p", "3", "--a", "10"]) == 3
+    err = capsys.readouterr().err
+    assert "local bases" in err and "bound: 1" in err
 
 
 def test_dedekind_oracle_10():
