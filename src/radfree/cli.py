@@ -15,7 +15,8 @@ import os
 import sys
 
 from .basefield import DEFAULT_MAX_NORM
-from .errors import RadfreeError, ResourceLimitError, SchemaError
+from .errors import (DegenerateExtensionError, RadfreeError,
+                     ResourceLimitError, SchemaError)
 from .report import (
     EXIT_INPUT_ERROR,
     EXIT_RESOURCE,
@@ -117,9 +118,25 @@ def _save_checkpoint(path: str, params: dict, next_a: int):
     os.replace(tmp, path)
 
 
-def _cmd_sweep(args) -> int:
-    from .errors import DegenerateExtensionError
+def _truncate_to_rows_before(path: str, next_a: int):
+    """Cut a resumed sweep's output after its last complete line that is the
+    CSV header or a row with a < next_a: a kill between flushing a row and
+    saving the checkpoint leaves that row, or part of a line, behind."""
+    keep = 0
+    with open(path, "r+b") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            if not line.startswith(b"a,"):
+                a_int = (json.loads(line)["a"] if line.startswith(b"{")
+                         else int(line.split(b",", 1)[0]))
+                if a_int >= next_a:
+                    break
+            keep += len(line)
+        fh.truncate(keep)
 
+
+def _cmd_sweep(args) -> int:
     field = parse_base(args.base)
     max_norm = args.max_norm if args.max_norm else _max_norm_default()
     params = {"base": args.base, "p": args.p, "a_min": args.a_min,
@@ -130,10 +147,12 @@ def _cmd_sweep(args) -> int:
     start = args.a_min
     if args.checkpoint:
         resumed = _load_checkpoint(args.checkpoint, params)
-        if resumed is not None:
+        if resumed is not None and os.path.exists(args.out):
             start = resumed
+            _truncate_to_rows_before(args.out, start)
 
-    out = open(args.out, "a") if args.out else sys.stdout
+    mode = "w" if start == args.a_min else "a"
+    out = open(args.out, mode) if args.out else sys.stdout
     try:
         if args.format == "csv" and start == args.a_min:
             out.write("a,tame,verdict,generator_hash\n")

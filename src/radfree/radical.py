@@ -6,16 +6,15 @@ The associated ideals are b_j = prod_i a_i^(floor(ij/p)), equivalently
 prod_P P^(floor(j*v_P(a)/p)); their classes are the freeness obstruction.
 
 Tameness: L/K is tame iff the radicand can be moved, by a^l * c^p with l
-coprime to p, to a' = 1 mod p^2 O_K.  The decision procedure searches the
-finite residue ring O_K/p^2 O_K after stripping p-th-power prime factors.
+coprime to p, to a' = 1 mod p^2 O_K.  After p-th-power prime factors are
+stripped, a closed form decides this with l = 1 (see tameness_test).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .basefield import (
     DEFAULT_MAX_NORM,
@@ -25,12 +24,11 @@ from .basefield import (
     PrimeIdeal,
     QuadForm,
     class_group,
-    factor_ideal,
+    element_valuation,
     factor_kideal,
     is_principal,
-    split_prime,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceLimitError
 from .extension import RadicandContext
 
 
@@ -107,39 +105,45 @@ def ramification_type(ctx: RadicandContext, P: PrimeIdeal) -> str:
 # ---------------------------------------------------------------------------
 # Tameness
 
+# _strip_pth_powers tests one divisor g O_K per point of the exponent box
+# prod_P [0, floor(v_P(a)/p)]; a box of more points raises ResourceLimitError.
+STRIP_MAX_BOX = 4096
+
+
 @dataclass(frozen=True)
 class TamenessVerdict:
     tame: bool
     normalized: KElem | None = None      # a' = a^ell * c^p = 1 mod p^2, when tame
-    ell: int | None = None
+    ell: int | None = None               # always 1 when tame; kept for schema /1
     c: KElem | None = None               # element of K with a' = a^ell * c^p exactly
     stripped: KElem | None = None        # input after removing p-th-power prime factors
     witness: str | None = None           # wildness explanation otherwise
 
 
-def _strip_pth_powers(field: BaseField, a: KElem, p: int, max_norm: int):
+def _strip_pth_powers(field: BaseField, a: KElem, p: int, fac):
     """Divide a by g^p for the largest principal divisor g O_K of
-    prod P^(floor(v_P(a)/p)); returns (stripped a, g)."""
-    fac = factor_ideal(field, a, max_norm)
+    prod P^(floor(v_P(a)/p)), where fac factors a O_K; returns (stripped a, g)."""
     heavy = [(P, v // p) for P, v in fac if v >= p]
     if not heavy:
         return a, field.one()
+    box = math.prod(k + 1 for _, k in heavy)
+    if box > STRIP_MAX_BOX:
+        raise ResourceLimitError(
+            f"tameness: stripping p-th powers would test {box} divisors, "
+            f"more than STRIP_MAX_BOX = {STRIP_MAX_BOX}", STRIP_MAX_BOX)
+
+    def norm(exps):
+        return math.prod(P.norm() ** e for (P, _), e in zip(heavy, exps))
+
     boxes = [range(k, -1, -1) for _, k in heavy]
-    candidates = []
-    for exps in itertools.product(*boxes):
+    for exps in sorted(itertools.product(*boxes), key=lambda e: (-norm(e), e)):
         ideal = KIdeal.unit_ideal(field)
-        norm = Fraction(1)
         for (P, _), e in zip(heavy, exps):
             if e:
                 ideal = ideal * P.ideal() ** e
-                norm *= Fraction(P.norm()) ** e
-        candidates.append((norm, exps, ideal))
-    candidates.sort(key=lambda t: (-t[0], t[1]))
-    for _, _, ideal in candidates:
         res = is_principal(field, ideal)
         if res.principal:
-            g = res.generator
-            return a / (g ** p), g
+            return a / res.generator ** p, res.generator
     return a, field.one()
 
 
@@ -154,72 +158,46 @@ def _residue_inverse(field: BaseField, u: KElem, m: int) -> KElem:
     return field.elem(int(c.x % m) * ninv % m, int(c.y % m) * ninv % m)
 
 
-@lru_cache(maxsize=None)
-def _residue_pth_powers(field: BaseField, p: int) -> dict:
-    """Map c^p mod p^2 -> smallest such c, over residues c of O_K/p^2 O_K."""
-    m = p * p
-    table: dict[tuple, KElem] = {}
-    ys = range(1) if field.is_rational else range(m)
-    for x in range(m):
-        for y in ys:
-            c = field.elem(x, y)
-            cp = c ** p
-            key = (cp.x % m, cp.y % m)
-            if key not in table:
-                table[key] = c
-    return table
-
-
 def tameness_test(field: BaseField, p: int, a: KElem,
                   max_norm: int = DEFAULT_MAX_NORM) -> TamenessVerdict:
     """Decide tameness of K(a^(1/p))/K and produce a normalized radicand.
 
-    Tame iff some power a^ell (ell coprime to p) becomes a p-th power in
-    (O_K/p^2 O_K)^*; the search space is finite since the unit residues and
-    ell range are.  A prime above p surviving the p-th-power stripping with
-    exponent not divisible by p means p is totally and wildly ramified.
+    A prime above p that keeps an exponent prime to p after the p-th-power
+    stripping is totally and wildly ramified.  Otherwise a is prime to p and
+    tame iff a*c^p = 1 mod p^2 O_K for c = Frob^-1(a^-1) mod p, reduced into
+    [0, p): c^p mod p^2 depends only on c mod p, and c^p = Frob(c) mod p,
+    where Frob is the conjugation if p is inert and the identity otherwise.
+    ell = 1, since (O_K/p^2)^* is its Teichmueller part, of order prime to p,
+    times the elementary abelian (1 + pO_K)/(1 + p^2 O_K): so a^ell with ell
+    prime to p is a p-th power mod p^2 iff a is.
     """
-    RadicandContext(field, p, a, max_norm)   # validates the whole setup
-    m = p * p
-    a_str, g = _strip_pth_powers(field, a, p, max_norm)
-    fac = factor_ideal(field, a_str, max_norm)
-    for P in split_prime(field, p):
-        v = next((e for Q, e in fac if Q == P), 0)
-        if v == 0:
-            continue
+    ctx = RadicandContext(field, p, a, max_norm)   # validates the whole setup
+    a_str, g = _strip_pth_powers(field, a, p, ctx.radicand_factorization)
+    above_p = ctx.primes_above_p()
+    for P in above_p:
+        v = element_valuation(P, a_str)
         if v % p:
             return TamenessVerdict(
                 tame=False, stripped=a_str,
                 witness=(f"v_P(a) = {v} at P = {P} above p after stripping; "
                          f"p is totally and wildly ramified"))
-        raise PreconditionError(
-            f"v_P(a) = {v} >= p at {P} above p and the p-th-power part is not "
-            f"principal; cannot normalize below p")
+        if v:
+            raise PreconditionError(
+                f"v_P(a) = {v} >= p at {P} above p and the p-th-power part is "
+                f"not principal; cannot normalize below p")
 
-    table = _residue_pth_powers(field, p)
-    a_red = field.elem(a_str.x % m, a_str.y % m)
-    for ell in range(1, p):
-        target = _residue_inverse(field, a_red ** ell, m)
-        key = (target.x, target.y)
-        c = table.get(key)
-        if c is not None:
-            normalized = a_str ** ell * c ** p
-            c_total = c / g ** ell
-            assert a ** ell * c_total ** p == normalized
-            return TamenessVerdict(tame=True, normalized=normalized, ell=ell,
-                                   c=c_total, stripped=a_str)
-    return TamenessVerdict(
-        tame=False, stripped=a_str,
-        witness=(f"no l in 1..{p - 1} makes a^l a {p}-th power in "
-                 f"(O_K/{m}O_K)^*; p is wildly ramified"))
-
-
-def normalized_context(field: BaseField, p: int, a: KElem,
-                       max_norm: int = DEFAULT_MAX_NORM):
-    """Tameness test plus the context for the normalized radicand."""
-    verdict = tameness_test(field, p, a, max_norm)
-    if not verdict.tame:
-        return verdict, None
-    ctx = RadicandContext(field, p, verdict.normalized, max_norm)
-    assert ctx.is_normalized
-    return verdict, ctx
+    m = p * p
+    t = _residue_inverse(field, a_str, p)
+    if above_p[0].f == 2:
+        t = t.conj()
+    c = field.elem(t.x % p, t.y % p)
+    normalized = a_str * c ** p
+    if (normalized.x - 1) % m or normalized.y % m:
+        return TamenessVerdict(
+            tame=False, stripped=a_str,
+            witness=(f"no l in 1..{p - 1} makes a^l a {p}-th power in "
+                     f"(O_K/{m}O_K)^*; p is wildly ramified"))
+    c_total = c / g
+    assert a * c_total ** p == normalized
+    return TamenessVerdict(tame=True, normalized=normalized, ell=1,
+                           c=c_total, stripped=a_str)

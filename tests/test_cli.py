@@ -184,6 +184,48 @@ def test_sweep_checkpoint_resume(tmp_path, capsys):
     assert main(bad_argv) == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_resume_after_kill(tmp_path, fmt):
+    out_path = tmp_path / "rows.out"
+    ck_path = tmp_path / "ck.json"
+    argv = ["sweep", "--p", "3", "--a-min", "2", "--a-max", "12",
+            "--format", fmt, "--out", str(out_path), "--checkpoint", str(ck_path)]
+    assert main(argv) == 0
+    full = out_path.read_text()
+    lines = full.splitlines(keepends=True)
+    rows_before_5 = 4 if fmt == "csv" else 3       # [header,] rows 2, 3, 4
+
+    # killed after flushing row 5 and part of row 6, before the checkpoint
+    # moved past 4
+    kept = "".join(lines[:rows_before_5 + 1]) + lines[rows_before_5 + 1][:3]
+    out_path.write_text(kept)
+    ck = json.loads(ck_path.read_text())
+    ck["next_a"] = 5
+    ck_path.write_text(json.dumps(ck))
+    assert main(argv) == 0
+    assert out_path.read_text() == full
+
+
+def test_sweep_fresh_start_overwrites_out(tmp_path):
+    out_path = tmp_path / "rows.csv"
+    ck_path = tmp_path / "ck.json"
+    argv = ["sweep", "--p", "3", "--a-min", "2", "--a-max", "6",
+            "--out", str(out_path), "--checkpoint", str(ck_path)]
+    assert main(argv) == 0
+    full = out_path.read_text()
+    assert full.count("a,tame") == 1
+    # no checkpoint: a fresh start, which must not append a second header
+    ck_path.unlink()
+    assert main(argv) == 0
+    assert out_path.read_text() == full
+    assert main(argv[:-2]) == 0
+    assert out_path.read_text() == full
+    # a checkpoint without its output starts over
+    out_path.unlink()
+    assert main(argv) == 0
+    assert out_path.read_text() == full
+
+
 def test_sweep_p5_congruence_rows(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--p", "5", "--a-min", "26",
                            "--a-max", "101")
