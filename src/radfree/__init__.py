@@ -27,7 +27,6 @@ from .radical import (
 from .integral import (
     LocalIntegralBasis,
     global_integral_basis,
-    is_integral_at,
     local_basis,
 )
 from .dedekind import dedekind_maximality_oracle
@@ -44,7 +43,6 @@ from .hopf import (
 )
 from .freeness import (
     FreenessCertificate,
-    change_radicand,
     criterion_check,
     verify_generator,
 )

@@ -611,27 +611,9 @@ class ClassGroup:
     def __init__(self, field: BaseField):
         self.field = field
         if field.is_rational:
-            self.forms: tuple[QuadForm, ...] = ()
-            self.h = 1
             self.principal_form: QuadForm | None = None
             return
         D = field.discriminant
-        forms = []
-        amax = math.isqrt(abs(D) // 3)
-        for a in range(1, amax + 1):
-            for b in range(-a + 1, a + 1):
-                if (b * b - D) % (4 * a):
-                    continue
-                c = (b * b - D) // (4 * a)
-                if c < a:
-                    continue
-                if a == c and b < 0:
-                    continue
-                if math.gcd(math.gcd(a, b), c) != 1:
-                    continue
-                forms.append(QuadForm(a, b, c))
-        self.forms = tuple(sorted(forms))
-        self.h = len(self.forms)
         self.principal_form = reduce_form(QuadForm(1, D % 2, ((D % 2) - D) // 4))
 
     def class_of(self, I: KIdeal) -> QuadForm | None:
@@ -651,23 +633,6 @@ class ClassGroup:
         form = reduce_form(QuadForm(int(A), int(B), int(C)))
         assert form.disc() == self.field.discriminant
         return form
-
-    def ideal_of(self, f: QuadForm) -> KIdeal:
-        """An integral ideal I with class_of(I) = f; the sign of b is fixed so
-        this is a section of class_of under the HNF orientation."""
-        d = self.field.d
-        if d % 4 == 1:
-            second = self.field.elem(Fraction(f.b - 1, 2), 1)
-        else:
-            second = self.field.elem(Fraction(f.b, 2), 1)
-        return KIdeal.from_generators(self.field,
-                                      [self.field.elem(f.a), second])
-
-    def compose(self, f1: QuadForm, f2: QuadForm) -> QuadForm:
-        return self.class_of(self.ideal_of(f1) * self.ideal_of(f2))
-
-    def inverse(self, f: QuadForm) -> QuadForm:
-        return reduce_form(QuadForm(f.a, -f.b, f.c))
 
     def is_principal_class(self, f: QuadForm | None) -> bool:
         return f is None or f == self.principal_form

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .basefield import DEFAULT_MAX_NORM
-from .errors import (DegenerateExtensionError, RadfreeError,
+from .errors import (DegenerateExtensionError, DomainError, RadfreeError,
                      ResourceLimitError, SchemaError)
 from .report import (
     EXIT_INPUT_ERROR,
@@ -31,9 +31,16 @@ from .report import (
 CHECKPOINT_SCHEMA = "radfree-checkpoint/1"
 
 
-def _max_norm_default() -> int:
-    env = os.environ.get("RADFREE_MAX_NORM")
-    return int(env) if env else DEFAULT_MAX_NORM
+def _max_norm(args) -> int:
+    """--max-norm, else RADFREE_MAX_NORM, else the default; must be positive."""
+    if args.max_norm is not None:
+        bound = args.max_norm
+    else:
+        env = os.environ.get("RADFREE_MAX_NORM")
+        bound = int(env) if env else DEFAULT_MAX_NORM
+    if bound < 1:
+        raise DomainError(f"the norm factorization bound must be positive, got {bound}")
+    return bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     field = parse_base(args.base)
     a = parse_kelem(field, args.a)
-    max_norm = args.max_norm if args.max_norm else _max_norm_default()
+    max_norm = _max_norm(args)
     report, code = analyze(field, args.p, a, max_norm)
     if args.format == "json":
         sys.stdout.write(canonical_json(report))
@@ -138,7 +145,7 @@ def _truncate_to_rows_before(path: str, next_a: int):
 
 def _cmd_sweep(args) -> int:
     field = parse_base(args.base)
-    max_norm = args.max_norm if args.max_norm else _max_norm_default()
+    max_norm = _max_norm(args)
     params = {"base": args.base, "p": args.p, "a_min": args.a_min,
               "a_max": args.a_max, "format": args.format, "max_norm": max_norm}
     if args.checkpoint and not args.out:

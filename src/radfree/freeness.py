@@ -5,9 +5,9 @@ radicand are all principal with generators b_j admitting units u_j such that
 sum_j u_j^(-1) alpha^j / b_j = 0 mod p O_L; the generator is then
 (1/p) sum_j u_j^(-1) alpha^j / b_j.  Testing beta = alpha only is sound: any
 witness beta transforms back to alpha with adjusted generators (see
-change_radicand).  The congruence is checked at the primes above p only --
-denominators of the candidate away from p are cancelled by the b_j by
-construction, so no other prime can obstruct.
+change_radicand in tests/helpers.py).  The congruence is checked at the primes
+above p only -- denominators of the candidate away from p are cancelled by the
+b_j by construction, so no other prime can obstruct.
 
 Every 'free' verdict is re-verified by an independent module-span comparison
 before it is returned.
@@ -34,12 +34,9 @@ from .basefield import (
 from .errors import DomainError, PreconditionError, RadfreeError, ResourceLimitError
 from .extension import LElem, RadicandContext, span_lattice
 from .hopf import act, idempotent
-from .integral import (
-    global_integral_basis,
-    local_basis,
-    solve_coordinates,
-)
-from .radical import AssociatedIdeals, associated_ideals
+from .integral import LocalIntegralBasis, local_basis, solve_coordinates
+from .lattices import IntegerLattice
+from .radical import AssociatedIdeals
 
 
 @dataclass(frozen=True)
@@ -67,13 +64,20 @@ def _candidate(ctx: RadicandContext, b_gens, units_tuple) -> LElem:
     return acc.scale_rat(Fraction(1, ctx.p))
 
 
-def criterion_check(ctx: RadicandContext) -> FreenessCertificate:
-    """Run the freeness criterion on a normalized context."""
+def criterion_check(ctx: RadicandContext, assoc: AssociatedIdeals,
+                    bases: dict[PrimeIdeal, LocalIntegralBasis],
+                    lattice: IntegerLattice | None) -> FreenessCertificate:
+    """Run the freeness criterion on a normalized context.
+
+    assoc is associated_ideals(ctx); bases holds the local basis at every
+    support prime; lattice is the glued global basis over Q and None over a
+    quadratic base.  The congruence is read in the bases above p, and a
+    candidate that passes it goes through verify_generator.
+    """
     if not ctx.is_normalized:
         raise PreconditionError(
             "criterion requires a normalized radicand (a = 1 mod p^2); "
             "run the tameness test first")
-    assoc = associated_ideals(ctx)
 
     b_gens = []
     for j, bj in enumerate(assoc.b):
@@ -86,12 +90,12 @@ def criterion_check(ctx: RadicandContext) -> FreenessCertificate:
     b_gens = tuple(b_gens)
 
     reps = unit_reps_mod_p(ctx.field, ctx.p)
-    primes_p = split_prime(ctx.field, ctx.p)
+    primes_p = ctx.primes_above_p()
     # the candidate's local coordinates are linear in the unit inverses, so
     # solve once per basis vector and combine per tuple
     pre: dict[PrimeIdeal, list[list[KElem]]] = {}
     for P in primes_p:
-        basis = list(local_basis(ctx, P).elements)
+        basis = list(bases[P].elements)
         pre[P] = [solve_coordinates(ctx, basis,
                                     ctx.alpha_power(j).scale(b_gens[j].inverse()))
                   for j in range(ctx.p)]
@@ -121,7 +125,7 @@ def criterion_check(ctx: RadicandContext) -> FreenessCertificate:
             x = _candidate(ctx, b_gens, units_tuple)
             # soundness gate, run unconditionally: a generator that fails the
             # independent span comparison must never be certified
-            ok, evidence = verify_generator(ctx, x)
+            ok, evidence = verify_generator(ctx, x, bases, lattice)
             if not ok:
                 raise RadfreeError(
                     f"internal error: candidate generator {x} passed the "
@@ -133,29 +137,6 @@ def criterion_check(ctx: RadicandContext) -> FreenessCertificate:
     return FreenessCertificate(
         verdict="not-free-congruence-obstruction", assoc=assoc,
         b_generators=b_gens, search_transcript=tuple(transcript))
-
-
-def change_radicand(ctx: RadicandContext, ell: int, c: KElem,
-                    b_gens: tuple[KElem, ...]) -> tuple[KElem, ...]:
-    """Generators a_m with {beta^j / b_j} = {alpha^m / a_m} as sets, for
-    beta = alpha^ell * c.
-
-    With t the inverse of ell mod p and j = (m t mod p):
-    a_m = b_j * c^(-j) * a^(-floor(j*ell/p)), an exact identity
-    alpha^m / a_m = beta^j / b_j.
-    """
-    p = ctx.p
-    if ell % p == 0:
-        raise DomainError("ell must be coprime to p")
-    if c.is_zero():
-        raise DomainError("c must be nonzero")
-    t = pow(ell % p, -1, p)
-    out = []
-    for m in range(p):
-        j = (m * t) % p
-        a_m = b_gens[j] * c ** (-j) * ctx.a ** (-(j * ell // p))
-        out.append(a_m)
-    return tuple(out)
 
 
 def _relevant_primes(ctx: RadicandContext, x: LElem) -> list[PrimeIdeal]:
@@ -181,13 +162,19 @@ def _int_factor(n: int, max_norm: int):
     return sorted((int(q), int(e)) for q, e in sympy.factorint(n).items())
 
 
-def verify_generator(ctx: RadicandContext, x: LElem) -> tuple[bool, dict]:
+def verify_generator(ctx: RadicandContext, x: LElem,
+                     bases: dict[PrimeIdeal, LocalIntegralBasis],
+                     lattice: IntegerLattice | None) -> tuple[bool, dict]:
     """Check that the associated-order span of x is the full ring of integers.
 
     The span is the O_K-module generated by {x, p e_1 x, ..., p e_(p-1) x}.
-    Over Q its HNF is compared with the glued global basis; over a quadratic
-    base the span is compared with the local basis at every relevant prime
-    (coordinates integral and change-of-basis determinant a local unit).
+    Over Q its HNF is compared with lattice, the glued global basis; over a
+    quadratic base (lattice None) the span is compared with the local basis
+    at every relevant prime (coordinates integral and change-of-basis
+    determinant a local unit).  bases holds the local basis at every support
+    prime; a relevant prime outside the support has the power basis.  Both
+    targets come from v_P(a) and the uniformizers, never from the criterion's
+    b_j generators.
     """
     if not ctx.is_normalized:
         raise PreconditionError("normalize the radicand first")
@@ -208,17 +195,16 @@ def verify_generator(ctx: RadicandContext, x: LElem) -> tuple[bool, dict]:
     if ctx.field.is_rational:
         evidence["method"] = "hnf-global"
         span = span_lattice(ctx, spanners)
-        target = global_integral_basis(ctx)
-        ok = span == target
+        ok = span == lattice
         evidence["details"].append({
             "span_hnf": [list(r) for r in span.rows], "span_den": span.den,
-            "target_hnf": [list(r) for r in target.rows], "target_den": target.den})
+            "target_hnf": [list(r) for r in lattice.rows], "target_den": lattice.den})
         return ok, evidence
 
     evidence["method"] = "local-determinants"
     ok = True
     for P in _relevant_primes(ctx, x):
-        basis = local_basis(ctx, P)
+        basis = bases[P] if P in bases else local_basis(ctx, P)
         coord_rows = [solve_coordinates(ctx, list(basis.elements), s)
                       for s in spanners]
         integral = all(

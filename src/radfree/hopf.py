@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basefield import KElem, PrimeIdeal, QuadForm, class_group
+from .basefield import KElem, QuadForm, class_group
 from .errors import DomainError
 from .extension import LElem, RadicandContext
-from .integral import local_basis, uniformizer
+from .integral import LocalIntegralBasis
 from .radical import AssociatedIdeals
 
 
@@ -192,20 +192,17 @@ def in_associated_order_by_eta(ctx: RadicandContext, h: HElem) -> bool:
 # ---------------------------------------------------------------------------
 # Local generators and the class tuple
 
-def local_generator(ctx: RadicandContext, P: PrimeIdeal) -> LElem:
+def local_generator(ctx: RadicandContext, basis: LocalIntegralBasis) -> LElem:
     """Free generator of the local ring of integers over the local associated
-    order: (1/p) sum_j alpha^j above p, (1/p) sum_j alpha^j / pi^r(j) away."""
-    p = ctx.p
-    if P.q == p:
-        basis = local_basis(ctx, P)          # enforces normalization
+    order, read off the local basis of ctx at its prime P: the last basis
+    element (1/p) sum_j alpha^j above p, and (1/p) sum_j alpha^j / pi^r(j),
+    the scaled sum of the basis, away from p."""
+    if basis.prime.q == ctx.p:
         return basis.elements[-1]
-    v = ctx.v_a(P)
-    r = [j * v // p for j in range(p)]
-    pi = uniformizer(ctx, P) if any(r) else ctx.field.one()
     acc = ctx.zero()
-    for j in range(p):
-        acc = acc + ctx.alpha_power(j).scale(pi ** (-r[j]))
-    return acc.scale_rat(Fraction(1, p))
+    for b in basis.elements:
+        acc = acc + b
+    return acc.scale_rat(Fraction(1, ctx.p))
 
 
 def class_of_MOL(ctx: RadicandContext,

@@ -117,30 +117,20 @@ def solve_coordinates(ctx: RadicandContext, basis: list[LElem],
     return vec
 
 
-def is_integral_at(ctx: RadicandContext, x: LElem, P: PrimeIdeal) -> bool:
-    """True iff x lies in the local ring of integers at P."""
-    basis = local_basis(ctx, P)
-    coords = solve_coordinates(ctx, list(basis.elements), x)
-    for c in coords:
-        if c.is_zero() or c.is_integral():
-            continue
-        if element_valuation(P, c) < 0:
-            return False
-    return True
+def global_integral_basis(ctx: RadicandContext,
+                          bases: dict[PrimeIdeal, LocalIntegralBasis]) -> IntegerLattice:
+    """HNF lattice equal to O_L, glued from the local bases (K = Q only).
 
-
-def global_integral_basis(ctx: RadicandContext) -> IntegerLattice:
-    """HNF lattice equal to O_L, glued from the local bases (K = Q only)."""
+    bases holds the local basis at every support prime of ctx.
+    """
     if not ctx.field.is_rational:
         raise UnsupportedScopeError(
             "global integral bases are assembled over Q only; quadratic base "
             "fields are handled prime-locally")
     if not ctx.is_normalized:
         raise PreconditionError("normalize the radicand first")
-    conditions = []
-    for P in ctx.support_primes():
-        conditions.append((P, list(local_basis(ctx, P).elements)))
-    return hnf_glue(ctx, conditions)
+    return hnf_glue(ctx, [(P, list(bases[P].elements))
+                          for P in ctx.support_primes()])
 
 
 def poly_discriminant(ctx: RadicandContext) -> int:
@@ -153,10 +143,11 @@ def poly_discriminant(ctx: RadicandContext) -> int:
     return sign * p ** p * a ** (p - 1)
 
 
-def field_index_and_discriminant(ctx: RadicandContext) -> tuple[int, int]:
-    """([O_L : Z[alpha]], disc O_L) from the glued global basis."""
-    lat = global_integral_basis(ctx)
-    det = lat.determinant()
+def field_index_and_discriminant(ctx: RadicandContext,
+                                 lattice: IntegerLattice) -> tuple[int, int]:
+    """([O_L : Z[alpha]], disc O_L) from the glued global basis lattice of
+    ctx, as built by global_integral_basis."""
+    det = lattice.determinant()
     index = 1 / abs(det)
     assert index.denominator == 1
     index = int(index)

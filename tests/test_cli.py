@@ -130,6 +130,41 @@ def test_verify_missing_input_key(tmp_path, capsys):
     assert code == 2 and "incomplete" in err
 
 
+def test_zero_denominator_is_an_input_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "analyze", "--p", "3", "--a", "1/0")
+    assert code == 2 and "zero denominator" in err
+    _, out, _ = run_cli(capsys, "analyze", "--p", "3", "--a", "10",
+                        "--format", "json")
+    report = json.loads(out)
+    report["input"]["a"]["x"] = ["10", "0"]
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(report))
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2 and "zero denominator" in err
+
+
+def test_max_norm_must_be_positive(monkeypatch, capsys):
+    for bound in ("0", "-5"):
+        code, _, err = run_cli(capsys, "analyze", "--p", "3", "--a", "10",
+                               "--max-norm", bound)
+        assert code == 2 and "must be positive" in err, bound
+    monkeypatch.setenv("RADFREE_MAX_NORM", "0")
+    code, _, err = run_cli(capsys, "analyze", "--p", "3", "--a", "10")
+    assert code == 2 and "must be positive" in err
+
+
+def test_sweep_max_norm_must_be_positive(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(capsys, "sweep", "--p", "3", "--a-min", "2",
+                           "--a-max", "20", "--max-norm", "0", "--out", str(out))
+    assert code == 2 and "must be positive" in err
+    assert not out.exists()
+    monkeypatch.setenv("RADFREE_MAX_NORM", "-5")
+    code, _, err = run_cli(capsys, "sweep", "--p", "3", "--a-min", "2",
+                           "--a-max", "20")
+    assert code == 2 and "must be positive" in err
+
+
 def test_sweep_rows(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--p", "3", "--a-min", "2",
                            "--a-max", "80")

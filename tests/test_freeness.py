@@ -8,13 +8,13 @@ from radfree.errors import DomainError, PreconditionError
 from radfree.extension import RadicandContext
 from radfree.freeness import (
     _candidate,
-    change_radicand,
     criterion_check,
     verify_generator,
 )
-from radfree.integral import is_integral_at
 from radfree.hopf import class_of_MOL
 from radfree.radical import associated_ideals
+
+from helpers import change_radicand, integral_bases, is_integral_at, local_bases, stages
 
 Q = BaseField.rationals()
 K5 = BaseField.imaginary_quadratic(-5)
@@ -25,12 +25,13 @@ def ctx_q(p, a):
 
 
 def test_criterion_requires_normalization():
+    ctx = ctx_q(3, 17)
     with pytest.raises(PreconditionError):
-        criterion_check(ctx_q(3, 17))
+        criterion_check(ctx, associated_ideals(ctx), {}, None)
 
 
 def test_free_10():
-    cert = criterion_check(ctx_q(3, 10))
+    cert = criterion_check(ctx := ctx_q(3, 10), *stages(ctx))
     assert cert.free
     assert [str(b) for b in cert.b_generators] == ["1", "1", "1"]
     assert [str(u) for u in cert.units] == ["1", "1", "1"]
@@ -39,7 +40,7 @@ def test_free_10():
 
 
 def test_free_28_needs_unit_flip():
-    cert = criterion_check(ctx_q(3, 28))
+    cert = criterion_check(ctx := ctx_q(3, 28), *stages(ctx))
     assert cert.free
     assert [str(b) for b in cert.b_generators] == ["1", "1", "2"]
     assert [str(u) for u in cert.units] == ["1", "1", "-1"]
@@ -48,7 +49,7 @@ def test_free_28_needs_unit_flip():
 
 
 def test_free_51_p5():
-    cert = criterion_check(ctx_q(5, 51))
+    cert = criterion_check(ctx := ctx_q(5, 51), *stages(ctx))
     assert cert.free
     fifth = Fraction(1, 5)
     assert cert.generator.coords == tuple(Q.elem(fifth) for _ in range(5))
@@ -56,7 +57,7 @@ def test_free_51_p5():
 
 def test_class_obstruction_sqrt_minus_5():
     ctx = RadicandContext(K5, 3, K5.elem(10))
-    cert = criterion_check(ctx)
+    cert = criterion_check(ctx, *stages(ctx))
     assert cert.verdict == "not-free-class-obstruction"
     assert cert.obstruction_index == 2
     assert cert.obstruction_class == QuadForm(2, 2, 3)
@@ -68,7 +69,7 @@ def test_class_obstruction_sqrt_minus_5():
 def test_congruence_obstruction_76_p5():
     # b = (1, 1, 1, 2, 2): the unit conditions mod 5 need ratios +-2,
     # unreachable from {1, -1}, so every tuple fails
-    cert = criterion_check(ctx_q(5, 76))
+    cert = criterion_check(ctx := ctx_q(5, 76), *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
     assert len(cert.search_transcript) == 2 ** 5
     tup = class_of_MOL(ctx_q(5, 76), cert.assoc)
@@ -84,7 +85,7 @@ def test_verdict_class_tuple_consistency():
         ctx = RadicandContext(field, 3, field.elem(a))
         if not ctx.is_normalized:
             continue
-        cert = criterion_check(ctx)
+        cert = criterion_check(ctx, *stages(ctx))
         cg = class_group(field)
         tup = class_of_MOL(ctx, cert.assoc)
         has_nonprincipal = any(not cg.is_principal_class(c) for c in tup)
@@ -181,11 +182,11 @@ def test_change_radicand_quadratic():
 def test_verify_generator_10():
     ctx = ctx_q(3, 10)
     w = ctx.from_coords([Fraction(1, 3)] * 3)
-    ok, ev = verify_generator(ctx, w)
+    ok, ev = verify_generator(ctx, w, *integral_bases(ctx))
     assert ok and ev["method"] == "hnf-global"
-    ok, _ = verify_generator(ctx, ctx.alpha_power(1))
+    ok, _ = verify_generator(ctx, ctx.alpha_power(1), *integral_bases(ctx))
     assert not ok
-    ok, ev = verify_generator(ctx, ctx.zero())
+    ok, ev = verify_generator(ctx, ctx.zero(), *integral_bases(ctx))
     assert not ok and ev["method"] == "trivial"
 
 
@@ -193,25 +194,27 @@ def test_verify_generator_28():
     ctx = ctx_q(3, 28)
     good = ctx.from_coords([Fraction(1, 3), Fraction(1, 3), Fraction(-1, 6)])
     bad = ctx.from_coords([Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)])
-    assert verify_generator(ctx, good)[0]
-    assert not verify_generator(ctx, bad)[0]
+    assert verify_generator(ctx, good, *integral_bases(ctx))[0]
+    assert not verify_generator(ctx, bad, *integral_bases(ctx))[0]
 
 
 def test_verify_generator_quadratic():
     ctx = RadicandContext(K5, 3, K5.elem(19))
-    cert = criterion_check(ctx)
+    cert = criterion_check(ctx, *stages(ctx))
     assert cert.free
-    ok, ev = verify_generator(ctx, cert.generator)
+    ok, ev = verify_generator(ctx, cert.generator, *integral_bases(ctx))
     assert ok and ev["method"] == "local-determinants"
     assert all(d["ok"] for d in ev["details"])
-    assert not verify_generator(ctx, cert.generator.scale(K5.elem(3)))[0]
+    assert not verify_generator(ctx, cert.generator.scale(K5.elem(3)),
+                                *integral_bases(ctx))[0]
     # scaling by a prime away from the support must also fail
-    assert not verify_generator(ctx, cert.generator.scale(K5.elem(7)))[0]
+    assert not verify_generator(ctx, cert.generator.scale(K5.elem(7)),
+                                *integral_bases(ctx))[0]
 
 
 def test_congruence_obstruction_p7():
     # b = (1,1,1,1,5,5,5) mod 7 forces unit ratios 1/5 = 3, unreachable
-    cert = criterion_check(ctx_q(7, 50))
+    cert = criterion_check(ctx := ctx_q(7, 50), *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
     assert len(cert.search_transcript) == 2 ** 7
 
@@ -225,7 +228,7 @@ def test_congruence_obstruction_with_principal_classes_quadratic():
     from radfree.hopf import class_of_MOL
 
     ctx = RadicandContext(K5, 3, K5.elem(55))
-    cert = criterion_check(ctx)
+    cert = criterion_check(ctx, *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
     assert [str(b) for b in cert.b_generators] == ["1", "1", "w"]
     cg = class_group(K5)
@@ -236,7 +239,7 @@ def test_congruence_obstruction_gaussian():
     # over Q(i) the fourth roots of unity still miss the ratio (1+i) mod 3
     # forced by b_2 = (1+i), so 10 is congruence-obstructed
     K1 = BaseField.imaginary_quadratic(-1)
-    cert = criterion_check(RadicandContext(K1, 3, K1.elem(10)))
+    cert = criterion_check(ctx := RadicandContext(K1, 3, K1.elem(10)), *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
     assert len(cert.search_transcript) == 4 ** 3
 
@@ -246,7 +249,7 @@ def test_congruence_obstruction_sixth_roots():
     # induced ratios defeat all 6^5 unit tuples
     K3 = BaseField.imaginary_quadratic(-3)
     ctx = RadicandContext(K3, 5, K3.elem(51))
-    cert = criterion_check(ctx)
+    cert = criterion_check(ctx, *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
     assert len(cert.search_transcript) == 6 ** 5
 
@@ -272,14 +275,14 @@ def test_congruence_search_against_global_membership():
             assoc = associated_ideals(ctx)
             res = [is_principal(Q, bj) for bj in assoc.b]
             b_gens = tuple(r.generator for r in res)
-            lattice = global_integral_basis(ctx)
+            lattice = global_integral_basis(ctx, local_bases(ctx))
             brute_free = False
             for units in itertools.product(reps, repeat=p):
                 x = _candidate(ctx, b_gens, units)
                 if lattice.contains([c.x for c in x.coords]):
                     brute_free = True
                     break
-            cert = criterion_check(ctx)
+            cert = criterion_check(ctx, *stages(ctx))
             assert cert.free == brute_free, (p, a)
 
 
@@ -292,7 +295,7 @@ def test_squarefree_family_small():
             import sympy
             if any(e > 1 for e in sympy.factorint(a).values()):
                 continue
-            cert = criterion_check(ctx_q(p, a))
+            cert = criterion_check(ctx := ctx_q(p, a), *stages(ctx))
             assert cert.free
             assert cert.generator.coords == tuple(
                 Q.elem(Fraction(1, p)) for _ in range(p))

@@ -193,11 +193,14 @@ def test_local_generator_examples():
     p7 = split_prime(Q, 7)[0]
     p2 = split_prime(Q, 2)[0]
     third = Fraction(1, 3)
-    assert local_generator(ctx, p7) == ctx.from_coords([third, third, third])
-    assert local_generator(ctx, p2) == ctx.from_coords([third, third, Fraction(1, 6)])
+    assert (local_generator(ctx, local_basis(ctx, p7))
+            == ctx.from_coords([third, third, third]))
+    assert (local_generator(ctx, local_basis(ctx, p2))
+            == ctx.from_coords([third, third, Fraction(1, 6)]))
     ctx10 = ctx_q(3, 10)
     p3 = split_prime(Q, 3)[0]
-    assert local_generator(ctx10, p3) == ctx10.from_coords([third, third, third])
+    assert (local_generator(ctx10, local_basis(ctx10, p3))
+            == ctx10.from_coords([third, third, third]))
 
 
 def test_local_generation_spans():
@@ -207,7 +210,7 @@ def test_local_generation_spans():
         p = ctx.p
         pk = ctx.field.elem(p)
         for P in ctx.support_primes():
-            x = local_generator(ctx, P)
+            x = local_generator(ctx, local_basis(ctx, P))
             spanners = [x] + [act(ctx, idempotent(ctx, i).scale(pk), x)
                               for i in range(1, p)]
             basis = local_basis(ctx, P)

@@ -15,12 +15,13 @@ from radfree.extension import RadicandContext, hnf_glue, span_lattice
 from radfree.integral import (
     field_index_and_discriminant,
     global_integral_basis,
-    is_integral_at,
     local_basis,
     poly_discriminant,
     solve_coordinates,
     uniformizer,
 )
+
+from helpers import integral_bases, is_integral_at, local_bases
 
 Q = BaseField.rationals()
 K5 = BaseField.imaginary_quadratic(-5)
@@ -159,34 +160,34 @@ def test_is_integral_at_quadratic():
 
 def test_global_integral_basis_10():
     ctx = ctx_q(3, 10)
-    lat = global_integral_basis(ctx)
+    lat = global_integral_basis(ctx, local_bases(ctx))
     w = ctx.from_coords([Fraction(1, 3)] * 3)
     assert lat == span_lattice(ctx, [ctx.one(), ctx.alpha_power(1), w])
-    index, disc = field_index_and_discriminant(ctx)
+    index, disc = field_index_and_discriminant(ctx, lat)
     assert poly_discriminant(ctx) == -2700
     assert index == 3 and disc == -300
 
 
 def test_global_integral_basis_19():
     ctx = ctx_q(3, 19)
-    lat = global_integral_basis(ctx)
+    lat = global_integral_basis(ctx, local_bases(ctx))
     w = ctx.from_coords([Fraction(1, 3)] * 3)
     assert lat == span_lattice(ctx, [ctx.one(), ctx.alpha_power(1), w])
 
 
 def test_global_integral_basis_28():
     ctx = ctx_q(3, 28)
-    lat = global_integral_basis(ctx)
+    lat = global_integral_basis(ctx, local_bases(ctx))
     assert lat.den == 6
     assert lat.rows == ((2, 2, 2), (0, 6, 0), (0, 0, 3))
-    index, disc = field_index_and_discriminant(ctx)
+    index, disc = field_index_and_discriminant(ctx, lat)
     assert index == 6 and disc == -588
 
 
 def test_global_integral_basis_round_trip():
     for a in (10, 28, 19, 136):
         ctx = ctx_q(3, a)
-        lat = global_integral_basis(ctx)
+        lat = global_integral_basis(ctx, local_bases(ctx))
         conds = [(P, [ctx.from_coords(r)
                       for r in lat.localize(P.q).rational_rows()])
                  for P in ctx.support_primes()]
@@ -195,7 +196,7 @@ def test_global_integral_basis_round_trip():
 
 def test_global_integral_basis_scope():
     with pytest.raises(UnsupportedScopeError):
-        global_integral_basis(RadicandContext(K5, 3, K5.elem(10)))
+        global_integral_basis(RadicandContext(K5, 3, K5.elem(10)), {})
 
 
 def test_uniformizer_principal():
@@ -254,7 +255,7 @@ def test_dedekind_vs_global_index():
             continue
         if not ctx.is_normalized:
             continue
-        index, _ = field_index_and_discriminant(ctx)
+        index, _ = field_index_and_discriminant(ctx, integral_bases(ctx)[1])
         for q in sorted({p, *(int(v) for v in sympy.factorint(abs(a)))}):
             witness = dedekind_maximality_oracle(q, p, a)
             assert witness.maximal == (index % q != 0), (p, a, q)
@@ -271,7 +272,7 @@ def test_discriminant_against_round_two():
                  (3, 19), (5, 101), (3, 1009)):
         ctx = ctx_q(p, a)
         assert ctx.is_normalized
-        _, disc = field_index_and_discriminant(ctx)
+        _, disc = field_index_and_discriminant(ctx, integral_bases(ctx)[1])
         _, dK = round_two(Poly(sx**p - a, sx, domain=SQQ))
         assert disc == int(dK), (p, a)
 
