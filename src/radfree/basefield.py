@@ -508,6 +508,32 @@ def _int_valuation(P: PrimeIdeal, x: int, y: int = 0) -> int:
     return v + _vq(x * x + s * x * y - r * y * y, q)
 
 
+def _integer_coords(g: KElem) -> tuple[int, int, int]:
+    """(x, y, den) with g = (x + y*w) / den and den the least such."""
+    den = g.denominator()
+    return (g.x.numerator * (den // g.x.denominator),
+            g.y.numerator * (den // g.y.denominator), den)
+
+
+def residue(P: PrimeIdeal, g: KElem):
+    """The class of g in O_K/P, for g whose denominator is prime to q.
+
+    At a split or ramified P = (q, w - t0) the class is x + y*t0 mod q, an
+    int; at an inert P and over Q it is the pair (x, y) mod q.
+    """
+    if g.field != P.field:
+        raise DomainError("element from a different field")
+    q = P.q
+    x, y, den = _integer_coords(g)
+    if den % q == 0:
+        raise DomainError(f"{g} has a denominator divisible by {q}; "
+                          f"no residue mod {P}")
+    inv = pow(den, -1, q)
+    if P.t0 is None:
+        return (x * inv % q, y * inv % q)
+    return (x + y * P.t0) * inv % q
+
+
 def ideal_valuation(P: PrimeIdeal, I: KIdeal) -> int:
     """v_P(I), additive over products; DomainError on the zero ideal.
 
@@ -527,9 +553,7 @@ def element_valuation(P: PrimeIdeal, g: KElem) -> int:
         raise DomainError("element from a different field")
     if g.is_zero():
         raise DomainError("valuation of zero")
-    den = g.denominator()
-    x = g.x.numerator * (den // g.x.denominator)
-    y = g.y.numerator * (den // g.y.denominator)
+    x, y, den = _integer_coords(g)
     return _int_valuation(P, x, y) - P.ram_index() * _vq(den, P.q)
 
 

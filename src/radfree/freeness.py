@@ -9,6 +9,18 @@ change_radicand in tests/helpers.py).  The congruence is checked at the primes
 above p only -- denominators of the candidate away from p are cancelled by the
 b_j by construction, so no other prime can obstruct.
 
+Above p the congruence is a residue test.  Each c_j = u_j^(-1) / b_j is a
+P-unit at every prime P above p, because b_j is prime to p and p is
+unramified.  In the basis {1, alpha, ..., alpha^(p-2), (1 + ... +
+alpha^(p-1))/p} the candidate has coordinates (c_j - c_(p-1))/p and c_(p-1),
+so it is integral at P exactly when all c_j have the same residue mod P.  The
+residues of u^(-1) / b_j are computed once for each j and each unit
+representative u mod p, and the first passing tuple in itertools.product
+order is read off them: the first u_0 whose residues every j can match, then
+the first match for each j.  Only a not-free verdict lists the |U|^p tuples,
+as its search transcript, each with the first prime above p where the
+residues differ; CRITERION_MAX_TUPLES bounds that list.
+
 Every 'free' verdict is re-verified by an independent module-span comparison
 before it is returned.
 """
@@ -28,6 +40,7 @@ from .basefield import (
     element_valuation,
     factor_ideal,
     is_principal,
+    residue,
     split_prime,
     unit_reps_mod_p,
 )
@@ -37,6 +50,10 @@ from .hopf import act, idempotent
 from .integral import LocalIntegralBasis, local_basis, solve_coordinates
 from .lattices import IntegerLattice
 from .radical import AssociatedIdeals
+
+# A not-free verdict lists every one of the |U|^p unit tuples; longer
+# transcripts are refused.
+CRITERION_MAX_TUPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -71,8 +88,9 @@ def criterion_check(ctx: RadicandContext, assoc: AssociatedIdeals,
 
     assoc is associated_ideals(ctx); bases holds the local basis at every
     support prime; lattice is the glued global basis over Q and None over a
-    quadratic base.  The congruence is read in the bases above p, and a
-    candidate that passes it goes through verify_generator.
+    quadratic base.  The congruence is decided from residues mod the primes
+    above p, and the one candidate that passes it goes through
+    verify_generator.
     """
     if not ctx.is_normalized:
         raise PreconditionError(
@@ -91,52 +109,57 @@ def criterion_check(ctx: RadicandContext, assoc: AssociatedIdeals,
 
     reps = unit_reps_mod_p(ctx.field, ctx.p)
     primes_p = ctx.primes_above_p()
-    # the candidate's local coordinates are linear in the unit inverses, so
-    # solve once per basis vector and combine per tuple
-    pre: dict[PrimeIdeal, list[list[KElem]]] = {}
-    for P in primes_p:
-        basis = list(bases[P].elements)
-        pre[P] = [solve_coordinates(ctx, basis,
-                                    ctx.alpha_power(j).scale(b_gens[j].inverse()))
-                  for j in range(ctx.p)]
-    inv_p = Fraction(1, ctx.p)
+    # keys[j][i]: the residues of u_i^(-1) / b_j at the primes above p, in
+    # primes_above_p() order; each is a P-unit, because b_j is prime to p
+    inv_reps = [u.inverse() for u in reps]
+    keys = []
+    for b in b_gens:
+        b_inv = b.inverse()
+        keys.append([tuple(residue(P, u * b_inv) for P in primes_p)
+                     for u in inv_reps])
 
-    def integral_at(P, inv_units) -> bool:
-        for k in range(ctx.p):
-            c = ctx.field.zero()
-            for j, uj in enumerate(inv_units):
-                c = c + pre[P][j][k] * uj
-            c = c.scale(inv_p)
-            if c.is_zero() or c.is_integral():
-                continue
-            if element_valuation(P, c) < 0:
-                return False
-        return True
+    # the first passing tuple in product order: the first u_0 whose key every
+    # j can match, then the first match for each j
+    for key in keys[0]:
+        if not all(key in row for row in keys):
+            continue
+        units_tuple = tuple(reps[row.index(key)] for row in keys)
+        x = _candidate(ctx, b_gens, units_tuple)
+        # soundness gate, run unconditionally: a generator that fails the
+        # independent span comparison must never be certified
+        ok, evidence = verify_generator(ctx, x, bases, lattice)
+        if not ok:
+            raise RadfreeError(
+                f"internal error: candidate generator {x} passed the "
+                f"congruence but fails the module-span verification")
+        return FreenessCertificate(
+            verdict="free", assoc=assoc, b_generators=b_gens,
+            units=units_tuple, generator=x, evidence=evidence)
 
+    count = len(reps) ** ctx.p
+    if count > CRITERION_MAX_TUPLES:
+        raise ResourceLimitError(
+            f"criterion: the not-free transcript would list {count} unit "
+            f"tuples, more than CRITERION_MAX_TUPLES = {CRITERION_MAX_TUPLES}",
+            CRITERION_MAX_TUPLES)
+    names = [str(u) for u in reps]
+    prime_names = [str(P) for P in primes_p]
     transcript = []
-    for units_tuple in itertools.product(reps, repeat=ctx.p):
-        inv_units = [u.inverse() for u in units_tuple]
-        failed_at = None
-        for P in primes_p:
-            if not integral_at(P, inv_units):
-                failed_at = P
-                break
-        if failed_at is None:
-            x = _candidate(ctx, b_gens, units_tuple)
-            # soundness gate, run unconditionally: a generator that fails the
-            # independent span comparison must never be certified
-            ok, evidence = verify_generator(ctx, x, bases, lattice)
-            if not ok:
-                raise RadfreeError(
-                    f"internal error: candidate generator {x} passed the "
-                    f"congruence but fails the module-span verification")
-            return FreenessCertificate(
-                verdict="free", assoc=assoc, b_generators=b_gens,
-                units=units_tuple, generator=x, evidence=evidence)
-        transcript.append((tuple(str(u) for u in units_tuple), str(failed_at)))
+    for name0, key0 in zip(names, keys[0]):
+        # a tuple fails at the first prime where some u_j^(-1) / b_j differs
+        # from u_0^(-1) / b_0
+        first = [[_first_difference(key, key0) for key in row] for row in keys[1:]]
+        for rest, diffs in zip(itertools.product(names, repeat=ctx.p - 1),
+                               itertools.product(*first)):
+            transcript.append(((name0, *rest), prime_names[min(diffs)]))
     return FreenessCertificate(
         verdict="not-free-congruence-obstruction", assoc=assoc,
         b_generators=b_gens, search_transcript=tuple(transcript))
+
+
+def _first_difference(key: tuple, ref: tuple) -> int:
+    """Index of the first entry where two residue tuples differ, else len."""
+    return next((k for k, (r, s) in enumerate(zip(key, ref)) if r != s), len(key))
 
 
 def _relevant_primes(ctx: RadicandContext, x: LElem) -> list[PrimeIdeal]:

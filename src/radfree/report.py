@@ -299,7 +299,7 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
     # independent rechecks of the stored certificate where it differs
     try:
         if report.get("verdict") not in ("wild",):
-            fr = report.get("freeness", {})
+            fr = _section(report, "freeness")
             if "generator" in fr and fr != recomputed.get("freeness"):
                 ctx = RadicandContext(
                     field, int(inp["p"]),
@@ -309,7 +309,7 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
                 ok, _ = verify_generator(ctx, x, *_integral_bases(ctx))
                 if not ok:
                     problems.append("stored generator fails the span re-check")
-            witnesses = report.get("verification", {}).get("dedekind", [])
+            witnesses = _section(report, "verification").get("dedekind", [])
             if witnesses != recomputed.get("verification", {}).get("dedekind", []):
                 for wjson in witnesses:
                     w = dedekind_maximality_oracle(int(wjson["q"]), int(inp["p"]),
@@ -320,3 +320,11 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
     except (KeyError, TypeError) as exc:
         problems.append(f"certificate recheck impossible, malformed field: {exc}")
     return not problems, problems
+
+
+def _section(report: dict, key: str) -> dict:
+    """report[key] ({} when absent); TypeError when it is not an object."""
+    section = report.get(key, {})
+    if not isinstance(section, dict):
+        raise TypeError(f"section {key!r} is not an object")
+    return section

@@ -3,15 +3,25 @@
 The analysis hands each stage's result on as an argument; integral_bases and
 stages build those arguments for a test that calls one stage on its own.
 The rest is API that only tests use: integrality at one prime, the radicand
-change of the criterion, and the class group with its reduced forms
-enumerated.
+change of the criterion, the coordinate search that the criterion's residue
+test replaced, and the class group with its reduced forms enumerated.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-from radfree.basefield import ClassGroup, KIdeal, QuadForm, element_valuation, reduce_form
-from radfree.errors import DomainError
+from radfree.basefield import (
+    ClassGroup,
+    KIdeal,
+    QuadForm,
+    element_valuation,
+    is_principal,
+    reduce_form,
+    unit_reps_mod_p,
+)
+from radfree.errors import DomainError, RadfreeError
+from radfree.freeness import FreenessCertificate, _candidate, verify_generator
 from radfree.integral import local_basis, solve_coordinates
 from radfree.radical import associated_ideals
 from radfree.report import _integral_bases as integral_bases
@@ -59,6 +69,64 @@ def change_radicand(ctx, ell, c, b_gens):
         a_m = b_gens[j] * c ** (-j) * ctx.a ** (-(j * ell // p))
         out.append(a_m)
     return tuple(out)
+
+
+def coordinate_criterion(ctx, assoc, bases, lattice):
+    """criterion_check by exhaustive search: every unit tuple in
+    itertools.product order, each candidate's coordinates in the basis above
+    p solved for and tested with element_valuation.  Same certificate."""
+    b_gens = []
+    for j, bj in enumerate(assoc.b):
+        res = is_principal(ctx.field, bj)
+        if not res.principal:
+            return FreenessCertificate(
+                verdict="not-free-class-obstruction", assoc=assoc,
+                obstruction_index=j, obstruction_class=res.ideal_class)
+        b_gens.append(res.generator)
+    b_gens = tuple(b_gens)
+
+    reps = unit_reps_mod_p(ctx.field, ctx.p)
+    inverses = {u: u.inverse() for u in reps}
+    primes_p = ctx.primes_above_p()
+    # the candidate's local coordinates are linear in the unit inverses, so
+    # solve once per basis vector and combine per tuple
+    pre = {}
+    for P in primes_p:
+        basis = list(bases[P].elements)
+        pre[P] = [solve_coordinates(ctx, basis,
+                                    ctx.alpha_power(j).scale(b_gens[j].inverse()))
+                  for j in range(ctx.p)]
+    inv_p = Fraction(1, ctx.p)
+
+    def integral_at(P, inv_units) -> bool:
+        for k in range(ctx.p):
+            c = ctx.field.zero()
+            for j, uj in enumerate(inv_units):
+                c = c + pre[P][j][k] * uj
+            c = c.scale(inv_p)
+            if c.is_zero() or c.is_integral():
+                continue
+            if element_valuation(P, c) < 0:
+                return False
+        return True
+
+    transcript = []
+    for units_tuple in itertools.product(reps, repeat=ctx.p):
+        inv_units = [inverses[u] for u in units_tuple]
+        failed_at = next((P for P in primes_p if not integral_at(P, inv_units)),
+                         None)
+        if failed_at is None:
+            x = _candidate(ctx, b_gens, units_tuple)
+            ok, evidence = verify_generator(ctx, x, bases, lattice)
+            if not ok:
+                raise RadfreeError(f"candidate generator {x} fails the gate")
+            return FreenessCertificate(
+                verdict="free", assoc=assoc, b_generators=b_gens,
+                units=units_tuple, generator=x, evidence=evidence)
+        transcript.append((tuple(str(u) for u in units_tuple), str(failed_at)))
+    return FreenessCertificate(
+        verdict="not-free-congruence-obstruction", assoc=assoc,
+        b_generators=b_gens, search_transcript=tuple(transcript))
 
 
 class EnumeratedClassGroup(ClassGroup):

@@ -16,6 +16,7 @@ from radfree.basefield import (
     ideal_valuation,
     is_principal,
     reduce_form,
+    residue,
     split_prime,
     unit_reps_mod_p,
     units,
@@ -372,6 +373,22 @@ def test_ideal_product_matches_generator_product(case, n):
     for _ in range(n):
         power = generator_product(power, I)
     assert I ** n == power
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(PROPERTY_FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f), elements(f), elements(f))))
+def test_residue_classes_are_congruences(case):
+    # for g, h integral at P: same residue iff g = h mod P
+    field, g, h = case
+    for P in _primes(field):
+        if g.denominator() % P.q == 0:
+            with pytest.raises(DomainError):
+                residue(P, g)
+            continue
+        if h.denominator() % P.q:
+            congruent = g == h or element_valuation(P, g - h) > 0
+            assert (residue(P, g) == residue(P, h)) == congruent, (P, g, h)
 
 
 def test_prime_ideal_matches_generators():

@@ -107,6 +107,22 @@ def test_verify_stale_schema(tmp_path, capsys):
     assert code == 2 and "radfree-report/0" in err
 
 
+@pytest.mark.parametrize("section", ["verification", "freeness"])
+def test_verify_section_not_an_object(tmp_path, capsys, section):
+    _, out, _ = run_cli(capsys, "analyze", "--p", "3", "--a", "10",
+                        "--format", "json")
+    report = json.loads(out)
+    report[section] = []
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps(report))
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 1
+    assert f"FAIL: section '{section}' does not match recomputation" in err
+    assert f"FAIL: certificate recheck impossible, malformed field: " \
+        f"section '{section}' is not an object" in err
+    assert "Traceback" not in err
+
+
 def test_negative_radicand_end_to_end(capsys):
     # -10 normalizes to -80 = (-10) * 2^3 and the pipeline runs through
     code, out, _ = run_cli(capsys, "analyze", "--p", "3", "--a", "-10",

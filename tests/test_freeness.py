@@ -2,9 +2,27 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from radfree.basefield import BaseField, KIdeal, QuadForm, is_principal, split_prime, unit_reps_mod_p
-from radfree.errors import DomainError, PreconditionError
+from radfree import freeness, integral
+from radfree.basefield import (
+    BaseField,
+    KIdeal,
+    QuadForm,
+    factor_ideal,
+    is_principal,
+    split_prime,
+    unit_reps_mod_p,
+    units,
+)
+from radfree.cli import main
+from radfree.errors import (
+    DegenerateExtensionError,
+    DomainError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from radfree.extension import RadicandContext
 from radfree.freeness import (
     _candidate,
@@ -12,9 +30,16 @@ from radfree.freeness import (
     verify_generator,
 )
 from radfree.hopf import class_of_MOL
-from radfree.radical import associated_ideals
+from radfree.radical import associated_ideals, tameness_test
 
-from helpers import change_radicand, integral_bases, is_integral_at, local_bases, stages
+from helpers import (
+    change_radicand,
+    coordinate_criterion,
+    integral_bases,
+    is_integral_at,
+    local_bases,
+    stages,
+)
 
 Q = BaseField.rationals()
 K5 = BaseField.imaginary_quadratic(-5)
@@ -299,3 +324,129 @@ def test_squarefree_family_small():
             assert cert.free
             assert cert.generator.coords == tuple(
                 Q.elem(Fraction(1, p)) for _ in range(p))
+
+
+# ---------------------------------------------------------------------------
+# The residue test against the coordinate search it replaced
+
+@st.composite
+def normalized_contexts(draw, field, p):
+    """A normalized context for a' from tameness_test on a = r (1 + p t).
+
+    r is a product of small integral elements prime to p, to powers below p.
+    Half the draws take them among the prime elements u + p h with u a unit:
+    every b_j is then a unit mod p, which makes free verdicts with unit
+    twists common.  r^E = 1 mod p, with E the exponent of (O_K/p)^*, and
+    (1 + p t)^E = 1 - p t mod p^2 since E = -1 mod p, so
+    t = (r^E - 1)/p mod p makes a tame.
+    """
+    one = field.one()
+    small = [field.elem(x, y) for x in range(-4, 5)
+             for y in ((0,) if field.is_rational else range(-3, 4))]
+    if draw(st.booleans()):
+        pool = [g for g in small if not g.is_zero() and g.norm() % p]
+    else:
+        pool = [g for g in (u + h.scale(p) for u in units(field) for h in small)
+                if [e for _, e in factor_ideal(field, g)] == [1]]
+        pool = sorted(pool, key=lambda g: g.norm())[:8]
+    r = one
+    for _ in range(draw(st.integers(1, 3))):
+        r = r * draw(st.sampled_from(pool)) ** draw(st.integers(1, p - 1))
+    split = field.is_rational or len(split_prime(field, p)) == 2
+    s = r ** (p - 1 if split else p * p - 1) - one
+    t = field.elem(s.x / p % p, s.y / p % p)
+    try:
+        verdict = tameness_test(field, p, r * (one + t.scale(p)))
+    except (DegenerateExtensionError, ResourceLimitError):
+        assume(False)   # a p-th power, or a norm past the factoring bound
+    assert verdict.tame
+    return RadicandContext(field, p, verdict.normalized)
+
+
+# (d or None for Q, p, examples): p splits in Q(i) at 5 and in Q(sqrt(-5))
+# at 3, where the order of failed_at matters; it is inert in Q(sqrt(-3)) at
+# 5 and in Q(sqrt(-7)) at 3
+ORACLE_CASES = (
+    (None, 3, 40), (None, 5, 40), (None, 7, 25),
+    (-1, 5, 20), (-5, 3, 40), (-3, 5, 8), (-7, 3, 40),
+)
+
+
+@pytest.mark.parametrize("d, p, examples", ORACLE_CASES,
+                         ids=[f"{d or 'Q'}-p{p}" for d, p, _ in ORACLE_CASES])
+def test_criterion_matches_coordinate_search(d, p, examples):
+    field = Q if d is None else BaseField.imaginary_quadratic(d)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(normalized_contexts(field, p))
+    def check(ctx):
+        args = stages(ctx)
+        # verdict, b_generators, units, generator, evidence, transcript and
+        # obstruction: the whole certificate
+        assert criterion_check(ctx, *args) == coordinate_criterion(ctx, *args)
+
+    check()
+
+
+def test_criterion_solves_no_coordinates(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = integral.solve_coordinates
+    monkeypatch.setattr(integral, "solve_coordinates", counting)
+    monkeypatch.setattr(freeness, "solve_coordinates", counting)
+    K3 = BaseField.imaginary_quadratic(-3)
+    for ctx in (ctx_q(5, 76), ctx_q(5, 51), RadicandContext(K3, 5, K3.elem(51))):
+        args = stages(ctx)
+        calls.clear()
+        criterion_check(ctx, *args)
+        assert calls == []
+
+
+def test_free_verdict_enumerates_no_tuples(monkeypatch):
+    # the first passing tuple of a = 506 at p = 13 is number 2,731 of 2^13 in
+    # product order; the residues find it without listing the 2,730 before it
+    ctx = RadicandContext(Q, 13, tameness_test(Q, 13, Q.elem(506)).normalized)
+    args = stages(ctx)
+    want = coordinate_criterion(ctx, *args)
+    assert want.free
+    assert list(itertools.product(unit_reps_mod_p(Q, 13), repeat=13)).index(
+        want.units) == 2730
+
+    listed = []
+
+    def counting(*iterables, repeat=1):
+        for item in itertools.product(*iterables, repeat=repeat):
+            listed.append(item)
+            yield item
+
+    class CountingItertools:
+        product = staticmethod(counting)
+
+    monkeypatch.setattr(freeness, "itertools", CountingItertools)
+    cert = criterion_check(ctx, *args)
+    assert listed == []
+    assert cert == want
+
+
+def test_criterion_tuple_bound(monkeypatch, capsys):
+    # 76 at p = 5 is congruence-obstructed: its transcript lists 2^5 tuples
+    monkeypatch.setattr(freeness, "CRITERION_MAX_TUPLES", 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        criterion_check(ctx := ctx_q(5, 76), *stages(ctx))
+    assert exc.value.bound == 1
+    assert "criterion" in str(exc.value) and "CRITERION_MAX_TUPLES" in str(exc.value)
+    assert main(["analyze", "--base", "Q", "--p", "5", "--a", "76"]) == 3
+    err = capsys.readouterr().err
+    assert "criterion" in err and "bound: 1" in err
+
+
+def test_free_verdict_ignores_the_tuple_bound(monkeypatch):
+    monkeypatch.setattr(freeness, "CRITERION_MAX_TUPLES", 1)
+    K7 = BaseField.imaginary_quadratic(-7)
+    for ctx in (ctx_q(3, 28), ctx_q(5, 51), RadicandContext(K5, 3, K5.elem(19)),
+                RadicandContext(K7, 3, K7.elem(10))):
+        assert criterion_check(ctx, *stages(ctx)).free
