@@ -69,12 +69,6 @@ class BaseField:
             return (1, (self.d - 1) // 4)
         return (0, self.d)
 
-    @property
-    def omega_symbol(self) -> str:
-        if self.is_rational:
-            return "0"
-        return f"(1+sqrt({self.d}))/2" if self.d % 4 == 1 else f"sqrt({self.d})"
-
     def elem(self, x, y=0) -> "KElem":
         x, y = Fraction(x), Fraction(y)
         if self.is_rational and y != 0:
@@ -560,6 +554,16 @@ def element_valuation(P: PrimeIdeal, g: KElem) -> int:
 # ---------------------------------------------------------------------------
 # Factorization
 
+def _decimal_or_length(n: int) -> str:
+    """n in decimal, or its digit count when it has more than 40 digits;
+    str() refuses integers of more than 4300 digits."""
+    m = abs(n)
+    if m < 10 ** 40:
+        return str(n)
+    d = int(math.log10(m))      # within 1 of the digit count less 1
+    return f"with {d + (m >= 10 ** d) + (m >= 10 ** (d + 1)):,} digits"
+
+
 def factor_ideal(field: BaseField, g: KElem,
                  max_norm: int = DEFAULT_MAX_NORM) -> list[tuple[PrimeIdeal, int]]:
     """Factor gO_K into primes, sorted canonically; g must be a nonzero
@@ -581,8 +585,9 @@ def factor_kideal(I: KIdeal,
     if n == 0:
         raise DomainError("cannot factor the zero ideal")
     if n > max_norm:
-        raise ResourceLimitError(f"ideal norm {n} exceeds factorization bound",
-                                 max_norm)
+        raise ResourceLimitError(
+            f"ideal norm {_decimal_or_length(n)} exceeds factorization bound",
+            max_norm)
     out = []
     for q in sorted(int(v) for v in sympy.factorint(n)):
         for P in split_prime(I.field, q):

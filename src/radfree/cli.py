@@ -37,7 +37,11 @@ def _max_norm(args) -> int:
         bound = args.max_norm
     else:
         env = os.environ.get("RADFREE_MAX_NORM")
-        bound = int(env) if env else DEFAULT_MAX_NORM
+        try:
+            bound = int(env) if env else DEFAULT_MAX_NORM
+        except ValueError:
+            raise DomainError(
+                f"RADFREE_MAX_NORM must be an integer, got {env!r}") from None
     if bound < 1:
         raise DomainError(f"the norm factorization bound must be positive, got {bound}")
     return bound
@@ -108,12 +112,16 @@ def _load_checkpoint(path: str, params: dict) -> int | None:
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        ck = json.load(fh)
+        try:
+            ck = json.load(fh)
+            next_a = int(ck["next_a"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SchemaError(f"checkpoint does not parse: {exc}") from exc
     if ck.get("schema") != CHECKPOINT_SCHEMA:
         raise SchemaError(f"checkpoint schema {ck.get('schema')!r} unsupported")
     if ck.get("params") != params:
         raise SchemaError("checkpoint parameters do not match this sweep")
-    return int(ck["next_a"])
+    return next_a
 
 
 def _save_checkpoint(path: str, params: dict, next_a: int):
@@ -135,8 +143,12 @@ def _truncate_to_rows_before(path: str, next_a: int):
             if not line.endswith(b"\n"):
                 break
             if not line.startswith(b"a,"):
-                a_int = (json.loads(line)["a"] if line.startswith(b"{")
-                         else int(line.split(b",", 1)[0]))
+                try:
+                    a_int = int(json.loads(line)["a"] if line.startswith(b"{")
+                                else line.split(b",", 1)[0])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise SchemaError(f"cannot resume {path}: a row does not "
+                                      f"parse: {exc}") from exc
                 if a_int >= next_a:
                     break
             keep += len(line)
@@ -188,7 +200,7 @@ def _cmd_verify(args) -> int:
     with open(args.report) as fh:
         try:
             report = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError(f"report is not valid JSON: {exc}") from exc
     ok, problems = verify_report(report)
     if ok:
@@ -210,7 +222,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (RadfreeError, ValueError, OSError) as exc:
+    except (RadfreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -13,13 +13,13 @@ Above p the congruence is a residue test.  Each c_j = u_j^(-1) / b_j is a
 P-unit at every prime P above p, because b_j is prime to p and p is
 unramified.  In the basis {1, alpha, ..., alpha^(p-2), (1 + ... +
 alpha^(p-1))/p} the candidate has coordinates (c_j - c_(p-1))/p and c_(p-1),
-so it is integral at P exactly when all c_j have the same residue mod P.  The
-residues of u^(-1) / b_j are computed once for each j and each unit
-representative u mod p, and the first passing tuple in itertools.product
-order is read off them: the first u_0 whose residues every j can match, then
-the first match for each j.  Only a not-free verdict lists the |U|^p tuples,
-as its search transcript, each with the first prime above p where the
-residues differ; CRITERION_MAX_TUPLES bounds that list.
+so it is integral at P exactly when all c_j have the same residue mod P.
+The unit representatives mod p form a group that contains u_0 = 1 and
+b_0 = O_K has the generator 1, so some tuple passes iff every b_0/b_j is
+congruent to a unit mod pO_K; then u_j is the first representative with that
+residue, which is the first passing tuple in itertools.product order.
+Otherwise the certificate is the first index j where no representative
+matches, with the residues of b_0/b_j at the primes above p.
 
 Every 'free' verdict is re-verified by an independent module-span comparison
 before it is returned.
@@ -27,7 +27,6 @@ before it is returned.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,11 +50,6 @@ from .integral import LocalIntegralBasis, local_basis, solve_coordinates
 from .lattices import IntegerLattice
 from .radical import AssociatedIdeals
 
-# A not-free verdict lists every one of the |U|^p unit tuples; longer
-# transcripts are refused.
-CRITERION_MAX_TUPLES = 2**20
-
-
 @dataclass(frozen=True)
 class FreenessCertificate:
     verdict: str            # free | not-free-class-obstruction | not-free-congruence-obstruction
@@ -65,7 +59,7 @@ class FreenessCertificate:
     generator: LElem | None = None
     obstruction_index: int | None = None
     obstruction_class: QuadForm | None = None
-    search_transcript: tuple | None = None
+    obstruction_residues: tuple | None = None
     evidence: dict | None = None
 
     @property
@@ -107,59 +101,30 @@ def criterion_check(ctx: RadicandContext, assoc: AssociatedIdeals,
         b_gens.append(res.generator)
     b_gens = tuple(b_gens)
 
+    # residues at the primes above p, in primes_above_p() order, of each unit
+    # representative and of each b_0/b_j, a P-unit because b_j is prime to p
     reps = unit_reps_mod_p(ctx.field, ctx.p)
     primes_p = ctx.primes_above_p()
-    # keys[j][i]: the residues of u_i^(-1) / b_j at the primes above p, in
-    # primes_above_p() order; each is a P-unit, because b_j is prime to p
-    inv_reps = [u.inverse() for u in reps]
-    keys = []
-    for b in b_gens:
-        b_inv = b.inverse()
-        keys.append([tuple(residue(P, u * b_inv) for P in primes_p)
-                     for u in inv_reps])
-
-    # the first passing tuple in product order: the first u_0 whose key every
-    # j can match, then the first match for each j
-    for key in keys[0]:
-        if not all(key in row for row in keys):
-            continue
-        units_tuple = tuple(reps[row.index(key)] for row in keys)
-        x = _candidate(ctx, b_gens, units_tuple)
-        # soundness gate, run unconditionally: a generator that fails the
-        # independent span comparison must never be certified
-        ok, evidence = verify_generator(ctx, x, bases, lattice)
-        if not ok:
-            raise RadfreeError(
-                f"internal error: candidate generator {x} passed the "
-                f"congruence but fails the module-span verification")
+    rep_keys = [tuple(residue(P, u) for P in primes_p) for u in reps]
+    targets = [tuple(residue(P, b_gens[0] / b) for P in primes_p) for b in b_gens]
+    j = next((j for j, key in enumerate(targets) if key not in rep_keys), None)
+    if j is not None:
         return FreenessCertificate(
-            verdict="free", assoc=assoc, b_generators=b_gens,
-            units=units_tuple, generator=x, evidence=evidence)
-
-    count = len(reps) ** ctx.p
-    if count > CRITERION_MAX_TUPLES:
-        raise ResourceLimitError(
-            f"criterion: the not-free transcript would list {count} unit "
-            f"tuples, more than CRITERION_MAX_TUPLES = {CRITERION_MAX_TUPLES}",
-            CRITERION_MAX_TUPLES)
-    names = [str(u) for u in reps]
-    prime_names = [str(P) for P in primes_p]
-    transcript = []
-    for name0, key0 in zip(names, keys[0]):
-        # a tuple fails at the first prime where some u_j^(-1) / b_j differs
-        # from u_0^(-1) / b_0
-        first = [[_first_difference(key, key0) for key in row] for row in keys[1:]]
-        for rest, diffs in zip(itertools.product(names, repeat=ctx.p - 1),
-                               itertools.product(*first)):
-            transcript.append(((name0, *rest), prime_names[min(diffs)]))
+            verdict="not-free-congruence-obstruction", assoc=assoc,
+            b_generators=b_gens, obstruction_index=j, obstruction_residues=targets[j])
+    # reps[0] = 1, so u_j is the first representative congruent to b_0/b_j
+    units_tuple = tuple(reps[rep_keys.index(key)] for key in targets)
+    x = _candidate(ctx, b_gens, units_tuple)
+    # soundness gate, run unconditionally: a generator that fails the
+    # independent span comparison must never be certified
+    ok, evidence = verify_generator(ctx, x, bases, lattice)
+    if not ok:
+        raise RadfreeError(
+            f"internal error: candidate generator {x} passed the "
+            f"congruence but fails the module-span verification")
     return FreenessCertificate(
-        verdict="not-free-congruence-obstruction", assoc=assoc,
-        b_generators=b_gens, search_transcript=tuple(transcript))
-
-
-def _first_difference(key: tuple, ref: tuple) -> int:
-    """Index of the first entry where two residue tuples differ, else len."""
-    return next((k for k, (r, s) in enumerate(zip(key, ref)) if r != s), len(key))
+        verdict="free", assoc=assoc, b_generators=b_gens,
+        units=units_tuple, generator=x, evidence=evidence)
 
 
 def _relevant_primes(ctx: RadicandContext, x: LElem) -> list[PrimeIdeal]:

@@ -127,9 +127,6 @@ class IntegerLattice:
                 rem = [a - q * b for a, b in zip(rem, row)]
         return not any(rem)
 
-    def contains_lattice(self, other: "IntegerLattice") -> bool:
-        return all(self.contains(row) for row in other.rational_rows())
-
     def contains_locally(self, vec: list[Fraction], q: int) -> bool:
         """Membership in the localization at q: the (unique, by echelon
         structure) rational coordinates exist and have q-free denominators."""

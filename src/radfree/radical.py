@@ -113,9 +113,8 @@ STRIP_MAX_BOX = 4096
 @dataclass(frozen=True)
 class TamenessVerdict:
     tame: bool
-    normalized: KElem | None = None      # a' = a^ell * c^p = 1 mod p^2, when tame
-    ell: int | None = None               # always 1 when tame; kept for schema /1
-    c: KElem | None = None               # element of K with a' = a^ell * c^p exactly
+    normalized: KElem | None = None      # a' = a * c^p = 1 mod p^2, when tame
+    c: KElem | None = None               # element of K with a' = a * c^p exactly
     stripped: KElem | None = None        # input after removing p-th-power prime factors
     witness: str | None = None           # wildness explanation otherwise
 
@@ -167,9 +166,9 @@ def tameness_test(field: BaseField, p: int, a: KElem,
     tame iff a*c^p = 1 mod p^2 O_K for c = Frob^-1(a^-1) mod p, reduced into
     [0, p): c^p mod p^2 depends only on c mod p, and c^p = Frob(c) mod p,
     where Frob is the conjugation if p is inert and the identity otherwise.
-    ell = 1, since (O_K/p^2)^* is its Teichmueller part, of order prime to p,
-    times the elementary abelian (1 + pO_K)/(1 + p^2 O_K): so a^ell with ell
-    prime to p is a p-th power mod p^2 iff a is.
+    The exponent l = 1 suffices, since (O_K/p^2)^* is its Teichmueller part,
+    of order prime to p, times the elementary abelian (1 + pO_K)/(1 + p^2 O_K):
+    so a^l with l prime to p is a p-th power mod p^2 iff a is.
     """
     ctx = RadicandContext(field, p, a, max_norm)   # validates the whole setup
     a_str, g = _strip_pth_powers(field, a, p, ctx.radicand_factorization)
@@ -199,5 +198,5 @@ def tameness_test(field: BaseField, p: int, a: KElem,
                      f"(O_K/{m}O_K)^*; p is wildly ramified"))
     c_total = c / g
     assert a * c_total ** p == normalized
-    return TamenessVerdict(tame=True, normalized=normalized, ell=1,
-                           c=c_total, stripped=a_str)
+    return TamenessVerdict(tame=True, normalized=normalized, c=c_total,
+                           stripped=a_str)

@@ -25,7 +25,7 @@ from .basefield import (
     class_group,
 )
 from .dedekind import MaximalityWitness, dedekind_maximality_oracle
-from .errors import SchemaError
+from .errors import ResourceLimitError, SchemaError
 from .extension import LElem, RadicandContext
 from .freeness import criterion_check, verify_generator
 from .hopf import class_of_MOL, local_generator
@@ -37,7 +37,7 @@ from .integral import (
 )
 from .radical import associated_ideals, ramification_type, tameness_test
 
-SCHEMA = "radfree-report/1"
+SCHEMA = "radfree-report/2"
 
 EXIT_FREE = 0
 EXIT_INPUT_ERROR = 2
@@ -53,17 +53,27 @@ def frac_json(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
 def _fraction(*args) -> Fraction:
-    """Fraction(*args), with a zero denominator reported as a SchemaError."""
+    """Fraction(*args), with a zero denominator or an unparsable string
+    reported as a SchemaError."""
     try:
         return Fraction(*args)
     except ZeroDivisionError:
         raise SchemaError(
             f"zero denominator in {'/'.join(map(str, args))}") from None
+    except ValueError as exc:
+        raise SchemaError(f"cannot parse a rational: {exc}") from None
+
+def _int(v) -> int:
+    """int(v) for a report field, with a failure reported as a SchemaError."""
+    try:
+        return int(v)
+    except (TypeError, ValueError):
+        raise SchemaError(f"bad integer {v!r}") from None
 
 def frac_from_json(v) -> Fraction:
     if not (isinstance(v, list) and len(v) == 2):
         raise SchemaError(f"bad rational {v!r}")
-    return _fraction(int(v[0]), int(v[1]))
+    return _fraction(_int(v[0]), _int(v[1]))
 
 def kelem_json(e: KElem) -> dict:
     return {"x": frac_json(e.x), "y": frac_json(e.y), "str": str(e)}
@@ -96,7 +106,7 @@ def parse_base(label: str) -> BaseField:
     m = re.fullmatch(r"Qsqrt(-\d+)", label)
     if not m:
         raise SchemaError(f"unknown base field {label!r}; use Q or Qsqrt<-d>")
-    return BaseField.imaginary_quadratic(int(m.group(1)))
+    return BaseField.imaginary_quadratic(_int(m.group(1)))
 
 
 def parse_kelem(field: BaseField, s: str) -> KElem:
@@ -138,10 +148,13 @@ def analyze(field: BaseField, p: int, a: KElem,
                   "max_norm": max_norm},
     }
     verdict = tameness_test(field, p, a, max_norm)
+    # a normalized radicand past the norm bound stops here, before str()
+    # meets its digits
+    if verdict.tame:
+        ctx = RadicandContext(field, p, verdict.normalized, max_norm)
     report["tameness"] = {
         "tame": verdict.tame,
         "stripped": kelem_json(verdict.stripped) if verdict.stripped else None,
-        "ell": verdict.ell,
         "c": kelem_json(verdict.c) if verdict.c else None,
         "normalized": kelem_json(verdict.normalized) if verdict.normalized else None,
         "witness": verdict.witness,
@@ -151,7 +164,6 @@ def analyze(field: BaseField, p: int, a: KElem,
         report["timing"] = {"seconds": time.perf_counter() - t0}
         return report, EXIT_WILD
 
-    ctx = RadicandContext(field, p, verdict.normalized, max_norm)
     assoc = associated_ideals(ctx)
     bases, lattice = _integral_bases(ctx)
     cg = class_group(field)
@@ -177,7 +189,6 @@ def analyze(field: BaseField, p: int, a: KElem,
             "prime": prime_json(P),
             "uniformizer": kelem_json(basis.uniformizer) if basis.uniformizer else None,
             "r_exponents": list(basis.r_exponents),
-            "basis": [lelem_json(b) for b in basis.elements],
             "generator": lelem_json(local_generator(ctx, basis)),
         })
     report["local_data"] = local_data
@@ -191,12 +202,11 @@ def analyze(field: BaseField, p: int, a: KElem,
     if cert.generator is not None:
         freeness["generator"] = lelem_json(cert.generator)
     if cert.obstruction_index is not None:
-        freeness["obstruction"] = {"j": cert.obstruction_index,
-                                   "class": form_json(cert.obstruction_class, cg)}
-    if cert.search_transcript is not None:
-        freeness["search_transcript"] = [
-            {"units": list(units), "failed_at": prime}
-            for units, prime in cert.search_transcript]
+        freeness["obstruction"] = {"j": cert.obstruction_index}
+        if cert.obstruction_residues is None:
+            freeness["obstruction"]["class"] = form_json(cert.obstruction_class, cg)
+        else:
+            freeness["obstruction"]["residues"] = list(cert.obstruction_residues)
     report["freeness"] = freeness
 
     verification: dict = {}
@@ -232,8 +242,8 @@ def _witness_json(w: MaximalityWitness) -> dict:
             "tbar": list(w.tbar), "gcd": list(w.gcd), "maximal": w.maximal}
 
 
-def canonical_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def canonical_json(report) -> str:
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def render_text(report: dict) -> str:
@@ -246,7 +256,7 @@ def render_text(report: dict) -> str:
         lines.append("verdict    : wild")
         return "\n".join(lines) + "\n"
     lines.append(f"tameness   : tame, normalized a' = {t['normalized']['str']} "
-                 f"(ell = {t['ell']}, c = {t['c']['str']})")
+                 f"(c = {t['c']['str']})")
     lines.append("assoc b_j  : " + ", ".join(
         f"b_{e['j']}~{e['class']}" if e["class"] != "principal"
         else f"b_{e['j']}" for e in report["associated_ideals"]))
@@ -257,8 +267,8 @@ def render_text(report: dict) -> str:
         gc = report["verification"]["generator_check"]
         lines.append(f"verified   : {gc['passed']} ({gc['method']})")
     if "obstruction" in fr:
-        lines.append(f"obstruction: j = {fr['obstruction']['j']}, "
-                     f"class = {fr['obstruction']['class']}")
+        lines.append("obstruction: " + ", ".join(
+            f"{k} = {v}" for k, v in fr["obstruction"].items()))
     if "field_discriminant" in report.get("verification", {}):
         lines.append(f"disc O_L   : {report['verification']['field_discriminant']}"
                      f" (index {report['verification']['index']})")
@@ -271,10 +281,12 @@ def render_text(report: dict) -> str:
 def verify_report(report: dict) -> tuple[bool, list[str]]:
     """Recompute everything from the input echo and compare.
 
-    Where the stored freeness section or Dedekind witnesses differ from the
-    recomputation, also re-run the span check on the stored generator and
-    the stored witnesses.  Where they are equal, the recomputation has
-    already checked those exact values.
+    Sections are compared by their canonical JSON bytes.  A recomputation
+    that hits a resource bound fails: analyze could not have written the
+    report under its own max_norm.  Where the stored freeness section or
+    Dedekind witnesses differ from the recomputation, also re-run the span
+    check on the stored generator and the stored witnesses.  Where they are
+    equal, the recomputation has already checked those exact values.
     """
     problems: list[str] = []
     if not isinstance(report, dict) or report.get("schema") != SCHEMA:
@@ -286,40 +298,49 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
     try:
         field = parse_base(inp["base"])
         a = kelem_from_json(field, inp["a"])
-        recomputed, _ = analyze(field, int(inp["p"]), a, int(inp["max_norm"]))
+        p, max_norm = _int(inp["p"]), _int(inp["max_norm"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed report field: {exc}") from exc
+    try:
+        recomputed, _ = analyze(field, p, a, max_norm)
+    except ResourceLimitError as exc:
+        return False, [f"recomputation stops on a resource bound: {exc}"]
 
-    stored = {k: v for k, v in report.items() if k != "timing"}
-    fresh = {k: v for k, v in recomputed.items() if k != "timing"}
-    for key in sorted(set(stored) | set(fresh)):
-        if stored.get(key) != fresh.get(key):
+    for key in sorted((set(report) | set(recomputed)) - {"timing"}):
+        if (key not in report or key not in recomputed
+                or not _same(report[key], recomputed[key])):
             problems.append(f"section {key!r} does not match recomputation")
 
     # independent rechecks of the stored certificate where it differs
     try:
         if report.get("verdict") not in ("wild",):
             fr = _section(report, "freeness")
-            if "generator" in fr and fr != recomputed.get("freeness"):
+            if "generator" in fr and not _same(fr, recomputed.get("freeness")):
                 ctx = RadicandContext(
-                    field, int(inp["p"]),
+                    field, p,
                     kelem_from_json(field, report["tameness"]["normalized"]),
-                    int(inp["max_norm"]))
+                    max_norm)
                 x = lelem_from_json(ctx, fr["generator"])
                 ok, _ = verify_generator(ctx, x, *_integral_bases(ctx))
                 if not ok:
                     problems.append("stored generator fails the span re-check")
             witnesses = _section(report, "verification").get("dedekind", [])
-            if witnesses != recomputed.get("verification", {}).get("dedekind", []):
+            if not _same(witnesses,
+                         recomputed.get("verification", {}).get("dedekind", [])):
                 for wjson in witnesses:
-                    w = dedekind_maximality_oracle(int(wjson["q"]), int(inp["p"]),
-                                                   int(wjson["a"]))
-                    if _witness_json(w) != wjson:
+                    w = dedekind_maximality_oracle(_int(wjson["q"]), p,
+                                                   _int(wjson["a"]))
+                    if not _same(_witness_json(w), wjson):
                         problems.append(
                             f"dedekind witness at q = {wjson['q']} mismatch")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SchemaError) as exc:
         problems.append(f"certificate recheck impossible, malformed field: {exc}")
     return not problems, problems
+
+
+def _same(stored, fresh) -> bool:
+    """Equal canonical JSON bytes; Python == takes True for 1 and 3.0 for 3."""
+    return canonical_json(stored) == canonical_json(fresh)
 
 
 def _section(report: dict, key: str) -> dict:

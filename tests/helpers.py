@@ -74,7 +74,9 @@ def change_radicand(ctx, ell, c, b_gens):
 def coordinate_criterion(ctx, assoc, bases, lattice):
     """criterion_check by exhaustive search: every unit tuple in
     itertools.product order, each candidate's coordinates in the basis above
-    p solved for and tested with element_valuation.  Same certificate."""
+    p solved for and tested with element_valuation.  Same certificate, but
+    the search names no index for a congruence obstruction: its
+    obstruction_index and obstruction_residues are None."""
     b_gens = []
     for j, bj in enumerate(assoc.b):
         res = is_principal(ctx.field, bj)
@@ -110,12 +112,9 @@ def coordinate_criterion(ctx, assoc, bases, lattice):
                 return False
         return True
 
-    transcript = []
     for units_tuple in itertools.product(reps, repeat=ctx.p):
         inv_units = [inverses[u] for u in units_tuple]
-        failed_at = next((P for P in primes_p if not integral_at(P, inv_units)),
-                         None)
-        if failed_at is None:
+        if all(integral_at(P, inv_units) for P in primes_p):
             x = _candidate(ctx, b_gens, units_tuple)
             ok, evidence = verify_generator(ctx, x, bases, lattice)
             if not ok:
@@ -123,10 +122,9 @@ def coordinate_criterion(ctx, assoc, bases, lattice):
             return FreenessCertificate(
                 verdict="free", assoc=assoc, b_generators=b_gens,
                 units=units_tuple, generator=x, evidence=evidence)
-        transcript.append((tuple(str(u) for u in units_tuple), str(failed_at)))
     return FreenessCertificate(
         verdict="not-free-congruence-obstruction", assoc=assoc,
-        b_generators=b_gens, search_transcript=tuple(transcript))
+        b_generators=b_gens)
 
 
 class EnumeratedClassGroup(ClassGroup):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radfree.basefield import (
+    _decimal_or_length,
     BaseField,
     KIdeal,
     QuadForm,
@@ -118,6 +119,18 @@ def test_factor_reconstruction_random():
 def test_factor_resource_bound():
     with pytest.raises(ResourceLimitError):
         factor_ideal(Q, Q.elem(10**9), max_norm=10**6)
+
+
+def test_long_integers_are_described_by_length():
+    assert _decimal_or_length(10**40 - 1) == "9" * 40
+    assert _decimal_or_length(-(10**40 - 1)) == "-" + "9" * 40
+    assert _decimal_or_length(10**40) == "with 41 digits"
+    # str() refuses integers past 4300 digits; their length is still exact
+    for n in range(4290, 4310):
+        assert _decimal_or_length(10**n - 1) == f"with {n:,} digits"
+        assert _decimal_or_length(10**n) == f"with {n + 1:,} digits"
+    with pytest.raises(ResourceLimitError, match="with 5,001 digits"):
+        factor_ideal(Q, Q.elem(10**5000 + 1))
 
 
 def test_valuation():

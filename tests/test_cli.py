@@ -2,11 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from radfree import cli
 from radfree.basefield import BaseField
 from radfree.cli import main
 from radfree.errors import SchemaError
-from radfree.report import analyze, canonical_json, parse_base, parse_kelem
+from radfree.report import SCHEMA, analyze, canonical_json, parse_base, parse_kelem
 
 Q = BaseField.rationals()
 K5 = BaseField.imaginary_quadratic(-5)
@@ -100,11 +103,205 @@ def test_verify_stale_schema(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "analyze", "--base", "Q", "--p", "3",
                         "--a", "10", "--format", "json")
     report = json.loads(out)
-    report["schema"] = "radfree-report/0"
-    stale = tmp_path / "stale.json"
-    stale.write_text(json.dumps(report))
-    code, _, err = run_cli(capsys, "verify", str(stale))
-    assert code == 2 and "radfree-report/0" in err
+    assert report["schema"] == SCHEMA == "radfree-report/2"
+    for stale_schema in ("radfree-report/0", "radfree-report/1"):
+        report["schema"] = stale_schema
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(report))
+        code, _, err = run_cli(capsys, "verify", str(stale))
+        assert code == 2 and stale_schema in err
+
+
+def test_canonical_json_is_compact(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--p", "3", "--a", "10",
+                           "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert "ell" not in report["tameness"]
+    assert all("basis" not in entry for entry in report["local_data"])
+
+
+def test_congruence_certificate_is_one_index(tmp_path, capsys):
+    # not free over Q at p = 23, where the |U|^p = 2^23 tuples of schema /1
+    # hit their bound: b_0/b_12 = 12 mod 23 is not +-1
+    code, out, _ = run_cli(capsys, "analyze", "--p", "23", "--a", "1588",
+                           "--format", "json")
+    assert code == 10
+    report = json.loads(out)
+    assert report["verdict"] == "not-free-congruence-obstruction"
+    assert report["freeness"]["obstruction"] == {"j": 12, "residues": [[12, 0]]}
+    assert "search_transcript" not in report["freeness"]
+    path = tmp_path / "p23.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize("path, value", [
+    (("tameness", "tame"), 1),
+    (("input", "p"), 3.0),
+    (("ramification", 0, "prime", "ramified"), 0),
+    (("ramification", 0, "prime", "f"), True),
+    (("associated_ideals", 1, "ideal", "hnf", 0, 0), 1.0),
+])
+def test_verify_rejects_another_type(tmp_path, capsys, path, value):
+    # each edit is == to the stored value in Python, so only a comparison of
+    # the canonical bytes rejects it
+    _, out, _ = run_cli(capsys, "analyze", "--p", "3", "--a", "10",
+                        "--format", "json")
+    report = json.loads(out)
+    *head, last = path
+    node = report
+    for key in head:
+        node = node[key]
+    assert node[last] == value
+    node[last] = value
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(report))
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 1 and "does not match recomputation" in err
+
+
+# free, class obstruction, congruence obstruction, wild
+MUTATED_REPORTS = (("Q", 3, 10), ("Qsqrt-5", 3, 10), ("Q", 5, 76), ("Q", 3, 2))
+
+
+def report_nodes(node, path=()):
+    """(path, value) for the report and every value in it."""
+    yield path, node
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from report_nodes(value, path + (key,))
+
+
+def mutations(value) -> list:
+    """Replacements for one JSON value: a neighbour, another type, a shorter
+    or longer container."""
+    if isinstance(value, bool):
+        return [not value, int(value), str(value).lower(), None]
+    if isinstance(value, int):
+        return [value + 1, value - 1, -value, float(value), str(value),
+                bool(value), None]
+    if isinstance(value, str):
+        return [value + "0", value[:-1], value.upper(), 0, None]
+    if value is None:
+        return [0, False, "", []]
+    if isinstance(value, list):
+        return [value[:-1], value + value[-1:], value[::-1], {}, None]
+    return ([{k: v for k, v in value.items() if k != key} for key in value]
+            + [{**value, "extra": 0}, [], None])
+
+
+@pytest.mark.parametrize("base, p, a", MUTATED_REPORTS,
+                         ids=[f"{b}-p{p}-a{a}" for b, p, a in MUTATED_REPORTS])
+def test_verify_rejects_every_single_field_change(tmp_path, capsys, base, p, a):
+    _, out, _ = run_cli(capsys, "analyze", "--base", base, "--p", str(p),
+                        "--a", str(a), "--format", "json")
+    # verify ignores timing, so the report without it passes, and every
+    # change below is outside it
+    stored = json.loads(out)
+    del stored["timing"]
+    out = canonical_json(stored)
+    nodes = list(report_nodes(stored))
+    path = tmp_path / "mutated.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(nodes).flatmap(
+        lambda node: st.tuples(st.just(node[0]), st.sampled_from(mutations(node[1])))))
+    def check(case):
+        where, new = case
+        report = json.loads(out)
+        if where:
+            *head, last = where
+            parent = report
+            for key in head:
+                parent = parent[key]
+            old, parent[last] = parent[last], new
+        else:
+            old, report = report, new
+        mutated = canonical_json(report)
+        assume(mutated != out)
+        path.write_text(mutated)
+        code = main(["verify", str(path)])
+        capsys.readouterr()
+        if where == ("input", "max_norm") and type(new) is int:
+            # every norm these analyses factor is far below 2^63, so another
+            # positive bound gives a true report of another input, and a
+            # negative one stops the recomputation
+            assert code == (0 if new > 0 else 1), (old, new)
+        else:
+            assert code in (1, 2), (where, old, new)
+
+    check()
+
+
+@pytest.mark.parametrize("base, p", [("Q", 3511), ("Qsqrt-1", 1093)])
+def test_oversized_normalized_radicand_is_a_resource_error(capsys, base, p):
+    # 2 is tame at the Wieferich primes 1093 and 3511, and a' = 2 c^p has
+    # thousands of digits: the norm bound stops it before it is serialized
+    code, out, err = run_cli(capsys, "analyze", "--base", base, "--p", str(p),
+                             "--a", "2", "--format", "json")
+    assert code == 3 and out == ""
+    assert "exceeds factorization bound" in err and " digits " in err
+    assert "4300" not in err
+
+
+def test_factorization_bound_message_gives_a_digit_count(capsys):
+    # a' = 2 c^1093 over Q has 2,993 digits: few enough for str(), too many
+    # to print
+    code, _, err = run_cli(capsys, "analyze", "--p", "1093", "--a", "2")
+    assert code == 3
+    assert "ideal norm with 2,993 digits exceeds factorization bound" in err
+    assert len(err) < 200
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["analyze", "--p", "3", "--a", "10"])
+
+
+def test_unparsable_inputs_exit_2(tmp_path, monkeypatch, capsys):
+    # each ValueError of a parse site is an input error
+    code, _, err = run_cli(capsys, "analyze", "--p", "3", "--a", "1" * 5000)
+    assert code == 2 and "cannot parse a rational" in err
+    monkeypatch.setenv("RADFREE_MAX_NORM", "many")
+    code, _, err = run_cli(capsys, "analyze", "--p", "3", "--a", "10")
+    assert code == 2 and "RADFREE_MAX_NORM must be an integer" in err
+    monkeypatch.delenv("RADFREE_MAX_NORM")
+
+    _, out, _ = run_cli(capsys, "analyze", "--p", "3", "--a", "10",
+                        "--format", "json")
+    report = json.loads(out)
+    report["input"]["a"]["x"] = ["ten", "1"]
+    bad = tmp_path / "word.json"
+    bad.write_text(json.dumps(report))
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2 and "bad integer 'ten'" in err
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2 and "not valid JSON" in err
+
+    out_path, ck_path = tmp_path / "rows.csv", tmp_path / "ck.json"
+    argv = ["sweep", "--p", "3", "--a-min", "2", "--a-max", "6",
+            "--out", str(out_path), "--checkpoint", str(ck_path)]
+    assert main(argv) == 0
+    ck = json.loads(ck_path.read_text())
+    for bad_ck in ({**ck, "next_a": "four"}, {"schema": ck["schema"]}, [ck]):
+        ck_path.write_text(json.dumps(bad_ck))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "checkpoint does not parse" in err, bad_ck
+    ck["next_a"] = 4
+    ck_path.write_text(json.dumps(ck))
+    for rows in ("a,tame,verdict,generator_hash\nx,true,free,\n", '{"b": 3}\n'):
+        out_path.write_text(rows)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "cannot resume" in err, rows
 
 
 @pytest.mark.parametrize("section", ["verification", "freeness"])

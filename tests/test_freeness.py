@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,13 @@ from radfree.basefield import (
     BaseField,
     KIdeal,
     QuadForm,
+    element_valuation,
     factor_ideal,
     is_principal,
     split_prime,
     unit_reps_mod_p,
     units,
 )
-from radfree.cli import main
 from radfree.errors import (
     DegenerateExtensionError,
     DomainError,
@@ -92,11 +93,13 @@ def test_class_obstruction_sqrt_minus_5():
 
 
 def test_congruence_obstruction_76_p5():
-    # b = (1, 1, 1, 2, 2): the unit conditions mod 5 need ratios +-2,
-    # unreachable from {1, -1}, so every tuple fails
+    # b = (1, 1, 1, 2, 2): b_0/b_3 = 1/2 = 3 mod 5 is not +-1 mod 5, so every
+    # unit tuple fails, and j = 3 certifies it
     cert = criterion_check(ctx := ctx_q(5, 76), *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
-    assert len(cert.search_transcript) == 2 ** 5
+    assert cert.obstruction_index == 3
+    assert cert.obstruction_residues == ((3, 0),)
+    assert cert.units is None and cert.generator is None
     tup = class_of_MOL(ctx_q(5, 76), cert.assoc)
     assert all(c is None for c in tup)   # no class obstruction, only congruence
 
@@ -238,10 +241,11 @@ def test_verify_generator_quadratic():
 
 
 def test_congruence_obstruction_p7():
-    # b = (1,1,1,1,5,5,5) mod 7 forces unit ratios 1/5 = 3, unreachable
+    # b = (1,1,1,1,5,5,5) mod 7 forces the unit ratio 1/5 = 3, unreachable
     cert = criterion_check(ctx := ctx_q(7, 50), *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
-    assert len(cert.search_transcript) == 2 ** 7
+    assert cert.obstruction_index == 4
+    assert cert.obstruction_residues == ((3, 0),)
 
 
 def test_congruence_obstruction_with_principal_classes_quadratic():
@@ -256,27 +260,34 @@ def test_congruence_obstruction_with_principal_classes_quadratic():
     cert = criterion_check(ctx, *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
     assert [str(b) for b in cert.b_generators] == ["1", "1", "w"]
+    # 3 splits: 1/w is 1 mod (3, w-1) but 2 mod (3, w-2), and the units
+    # +-1 have the same residue at both primes
+    assert [str(P) for P in ctx.primes_above_p()] == ["(3, w-1)", "(3, w-2)"]
+    assert (cert.obstruction_index, cert.obstruction_residues) == (2, (1, 2))
     cg = class_group(K5)
     assert all(cg.is_principal_class(c) for c in class_of_MOL(ctx, cert.assoc))
 
 
 def test_congruence_obstruction_gaussian():
-    # over Q(i) the fourth roots of unity still miss the ratio (1+i) mod 3
-    # forced by b_2 = (1+i), so 10 is congruence-obstructed
+    # over Q(i) the fourth roots of unity still miss the ratio 1/(1+i) mod 3
+    # forced by b_2 = (1+i), so 10 is congruence-obstructed; 3 is inert and
+    # 1/(1+i) = 2 + i mod 3
     K1 = BaseField.imaginary_quadratic(-1)
     cert = criterion_check(ctx := RadicandContext(K1, 3, K1.elem(10)), *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
-    assert len(cert.search_transcript) == 4 ** 3
+    assert [str(b) for b in cert.b_generators] == ["1", "1", "1+w"]
+    assert (cert.obstruction_index, cert.obstruction_residues) == (2, ((2, 1),))
 
 
 def test_congruence_obstruction_sixth_roots():
     # Q(sqrt(-3)) has six units; 51 = 3 * 17 ramifies at sqrt(-3) and the
-    # induced ratios defeat all 6^5 unit tuples
+    # ratio 1/(1+w) = 4 + 3w mod 5 (5 is inert) defeats all 6^5 unit tuples
     K3 = BaseField.imaginary_quadratic(-3)
     ctx = RadicandContext(K3, 5, K3.elem(51))
     cert = criterion_check(ctx, *stages(ctx))
     assert cert.verdict == "not-free-congruence-obstruction"
-    assert len(cert.search_transcript) == 6 ** 5
+    assert [str(b) for b in cert.b_generators] == ["1", "1", "1", "1+w", "1+w"]
+    assert (cert.obstruction_index, cert.obstruction_residues) == (3, ((4, 3),))
 
 
 def test_congruence_search_against_global_membership():
@@ -372,6 +383,17 @@ ORACLE_CASES = (
 )
 
 
+def congruent_mod_P(P, g, h) -> bool:
+    """g = h mod P, for P-units g and h: v_P(g - h) > 0."""
+    return (g - h).is_zero() or element_valuation(P, g - h) > 0
+
+
+def congruent_to_a_unit(ctx, g) -> bool:
+    """g = u mod pO_K for some unit u of O_K."""
+    return any(all(congruent_mod_P(P, g, u) for P in ctx.primes_above_p())
+               for u in units(ctx.field))
+
+
 @pytest.mark.parametrize("d, p, examples", ORACLE_CASES,
                          ids=[f"{d or 'Q'}-p{p}" for d, p, _ in ORACLE_CASES])
 def test_criterion_matches_coordinate_search(d, p, examples):
@@ -381,9 +403,28 @@ def test_criterion_matches_coordinate_search(d, p, examples):
     @given(normalized_contexts(field, p))
     def check(ctx):
         args = stages(ctx)
-        # verdict, b_generators, units, generator, evidence, transcript and
-        # obstruction: the whole certificate
-        assert criterion_check(ctx, *args) == coordinate_criterion(ctx, *args)
+        cert = criterion_check(ctx, *args)
+        want = coordinate_criterion(ctx, *args)
+        if cert.verdict != "not-free-class-obstruction":
+            # the congruence obstruction's index is the first j whose
+            # b_0/b_j is no unit mod pO_K, and its residues are those of
+            # b_0/b_j at the primes above p; a free verdict has no such j
+            ratios = [cert.b_generators[0] / b for b in cert.b_generators]
+            j = cert.obstruction_index
+            first = next((k for k, g in enumerate(ratios)
+                          if not congruent_to_a_unit(ctx, g)), None)
+            assert j == first
+            if j is not None:
+                lifts = [field.elem(r) if isinstance(r, int) else field.elem(*r)
+                         for r in cert.obstruction_residues]
+                assert len(lifts) == len(ctx.primes_above_p())
+                assert all(congruent_mod_P(P, ratios[j], r)
+                           for P, r in zip(ctx.primes_above_p(), lifts))
+                want = replace(want, obstruction_index=j,
+                               obstruction_residues=cert.obstruction_residues)
+        # verdict, b_generators, units, generator, evidence and obstruction:
+        # the whole certificate
+        assert cert == want
 
     check()
 
@@ -406,7 +447,7 @@ def test_criterion_solves_no_coordinates(monkeypatch):
         assert calls == []
 
 
-def test_free_verdict_enumerates_no_tuples(monkeypatch):
+def test_free_verdict_enumerates_no_tuples():
     # the first passing tuple of a = 506 at p = 13 is number 2,731 of 2^13 in
     # product order; the residues find it without listing the 2,730 before it
     ctx = RadicandContext(Q, 13, tameness_test(Q, 13, Q.elem(506)).normalized)
@@ -416,37 +457,6 @@ def test_free_verdict_enumerates_no_tuples(monkeypatch):
     assert list(itertools.product(unit_reps_mod_p(Q, 13), repeat=13)).index(
         want.units) == 2730
 
-    listed = []
+    assert not hasattr(freeness, "itertools")
+    assert criterion_check(ctx, *args) == want
 
-    def counting(*iterables, repeat=1):
-        for item in itertools.product(*iterables, repeat=repeat):
-            listed.append(item)
-            yield item
-
-    class CountingItertools:
-        product = staticmethod(counting)
-
-    monkeypatch.setattr(freeness, "itertools", CountingItertools)
-    cert = criterion_check(ctx, *args)
-    assert listed == []
-    assert cert == want
-
-
-def test_criterion_tuple_bound(monkeypatch, capsys):
-    # 76 at p = 5 is congruence-obstructed: its transcript lists 2^5 tuples
-    monkeypatch.setattr(freeness, "CRITERION_MAX_TUPLES", 1)
-    with pytest.raises(ResourceLimitError) as exc:
-        criterion_check(ctx := ctx_q(5, 76), *stages(ctx))
-    assert exc.value.bound == 1
-    assert "criterion" in str(exc.value) and "CRITERION_MAX_TUPLES" in str(exc.value)
-    assert main(["analyze", "--base", "Q", "--p", "5", "--a", "76"]) == 3
-    err = capsys.readouterr().err
-    assert "criterion" in err and "bound: 1" in err
-
-
-def test_free_verdict_ignores_the_tuple_bound(monkeypatch):
-    monkeypatch.setattr(freeness, "CRITERION_MAX_TUPLES", 1)
-    K7 = BaseField.imaginary_quadratic(-7)
-    for ctx in (ctx_q(3, 28), ctx_q(5, 51), RadicandContext(K5, 3, K5.elem(19)),
-                RadicandContext(K7, 3, K7.elem(10))):
-        assert criterion_check(ctx, *stages(ctx)).free
